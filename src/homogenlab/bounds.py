@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .numerics import as_matrix, as_vector, extreme_eigenvalues, rank_truncate, singular_values
-from .solvers import lowrank_forward
 
 CONDITIONING_NORMS = ("l1", "l2", "nuclear")
 
@@ -236,6 +235,8 @@ def lowrank_rip_sample(a, r: int, num_samples: int, seed: int) -> tuple[float, f
     map: draws unit-Frobenius matrices of rank <= 2r (normalized products of
     Gaussian factors), evaluates (1/m) ||A(X)||_1, and returns
     (1 - min observed, max observed - 1)."""
+    from .solvers import lowrank_forward  # solvers imports this module
+
     a = as_matrix(a, "measurement matrix")
     m, n = a.shape
     if not 1 <= 2 * r <= n:

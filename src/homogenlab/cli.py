@@ -8,6 +8,7 @@ stderr), 2 iteration cap reached without convergence.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -29,6 +30,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(f"error: {message}")
+
+
+# A leading minus sign followed by a digit or a point starts a number, never
+# a flag of this program.
+_NUMBER_START = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv) -> list[str]:
+    """Rewrite ``--flag -0.5,1`` as ``--flag=-0.5,1``: argparse takes a value
+    with a leading minus for a flag unless it is a single plain number."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if _NUMBER_START.match(arg) and prev.startswith("--") and len(prev) > 2 and "=" not in prev:
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _floats(text: str) -> list[float]:
@@ -162,7 +181,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("ista", help="shrinkage-thresholding trajectory")
@@ -185,7 +203,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--y", type=_floats, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--cap", type=int, default=solvers.DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap", type=int, default=bounds.DEFAULT_SUPPORT_CAP)
 
     p = sub.add_parser("robustness", help="perturbation-gain scan of a network file")
     p.add_argument("--net", required=True)
@@ -391,9 +409,7 @@ def _cmd_solve(args):
         if args.eta is None:
             raise ValueError("dantzig needs --eta")
         problem = solvers.dantzig(a, y, args.eta)
-    report = solvers.solve(
-        problem, solvers.SolveConfig(max_iters=args.max_iters, tol=args.tol, seed=args.seed)
-    )
+    report = solvers.solve(problem, solvers.SolveConfig(max_iters=args.max_iters, tol=args.tol))
     config = {
         "variant": args.variant,
         "in": args.infile,
@@ -403,9 +419,8 @@ def _cmd_solve(args):
         "tau": "" if args.tau is None else args.tau,
         "tol": args.tol,
         "max_iters": args.max_iters,
-        "seed": args.seed,
     }
-    header = ("objective", "primal_residual", "dual_residual", "iterations", "converged", "multiplicity_hint") + tuple(
+    header = ("objective", "primal_residual", "dual_residual", "iterations", "converged", "uniqueness") + tuple(
         f"z{i}" for i in range(report.solution.size)
     )
     rows = [
@@ -415,7 +430,7 @@ def _cmd_solve(args):
             report.dual_residual,
             report.iterations,
             report.converged,
-            report.multiplicity_hint,
+            report.uniqueness,
         )
         + tuple(report.solution)
     ]
@@ -424,7 +439,7 @@ def _cmd_solve(args):
     print(
         f"solution={','.join(format_cell(v) for v in report.solution)} "
         f"objective={format_cell(report.objective)} iterations={report.iterations} "
-        f"converged={str(report.converged).lower()} multiplicity={str(report.multiplicity_hint).lower()}"
+        f"converged={str(report.converged).lower()} uniqueness={report.uniqueness}"
     )
     if not report.converged:
         return 2
@@ -600,7 +615,7 @@ _HANDLERS = {
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -8,6 +8,7 @@ files. Floats are printed with 17 significant digits.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
@@ -63,18 +64,34 @@ def write_csv(path, command: str, config: dict, header: Sequence[str], rows) -> 
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """Matrix from a CSV file, skipping blank and ``#`` lines. A cell that is
+    not a finite number, or a row of another length, is rejected with the
+    file, line and column."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(cell) for cell in line.split(",")])
+            row = []
+            for col, cell in enumerate(line.split(","), start=1):
+                try:
+                    value = float(cell)
+                    finite = math.isfinite(value)
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise ValueError(
+                        f"{path}:{lineno}: column {col}: expected a finite number, got {cell!r}"
+                    )
+                row.append(value)
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: ragged rows: {len(row)} columns, expected {len(rows[0])}"
+                )
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no numeric rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
     return np.array(rows, dtype=np.float64)
 
 

@@ -10,6 +10,8 @@ utilities measure how badly a given function violates that identity.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -344,6 +346,24 @@ def _expect(cond: bool, where: str, what: str):
         raise ValueError(f"{where}: {what}")
 
 
+def _finite_number(v) -> bool:
+    # Exact types: JSON true/false load as bool, a subclass of int.
+    if type(v) is int:
+        return abs(v) <= sys.float_info.max
+    return type(v) is float and math.isfinite(v)
+
+
+def _expect_number(v, where: str) -> None:
+    _expect(_finite_number(v), where, f"expected a finite number, got {json.dumps(v)}")
+
+
+def _expect_numbers(values: list, where: str) -> None:
+    # Entry locations are formatted only once something is wrong.
+    if not all(_finite_number(v) for v in values):
+        for k, v in enumerate(values):
+            _expect_number(v, f"{where}[{k}]")
+
+
 def deserialize(text: str) -> NetworkSpec:
     """Parse the network file format, rejecting malformed documents with the
     offending location."""
@@ -362,11 +382,8 @@ def deserialize(text: str) -> NetworkSpec:
             "activation.relu_family",
             "expected keys alpha, beta",
         )
-        _expect(
-            all(isinstance(fam[k], (int, float)) for k in ("alpha", "beta")),
-            "activation.relu_family",
-            "alpha and beta must be numbers",
-        )
+        for key in ("alpha", "beta"):
+            _expect_number(fam[key], f"activation.relu_family.{key}")
         activation = ActivationSpec.relu_family(fam["alpha"], fam["beta"])
     elif "named" in act:
         _expect(
@@ -393,11 +410,7 @@ def deserialize(text: str) -> NetworkSpec:
         row_len = None
         for j, row in enumerate(weights):
             _expect(isinstance(row, list) and row, f"{where}.weights[{j}]", "expected a non-empty row")
-            _expect(
-                all(isinstance(v, (int, float)) for v in row),
-                f"{where}.weights[{j}]",
-                "entries must be numbers",
-            )
+            _expect_numbers(row, f"{where}.weights[{j}]")
             if row_len is None:
                 row_len = len(row)
             _expect(len(row) == row_len, f"{where}.weights[{j}]", "ragged rows")
@@ -412,11 +425,7 @@ def deserialize(text: str) -> NetworkSpec:
         bias = entry.get("bias")
         if bias is not None:
             _expect(isinstance(bias, list), f"{where}.bias", "expected an array or null")
-            _expect(
-                all(isinstance(v, (int, float)) for v in bias),
-                f"{where}.bias",
-                "entries must be numbers",
-            )
+            _expect_numbers(bias, f"{where}.bias")
             _expect(
                 len(bias) == w.shape[0],
                 f"{where}.bias",

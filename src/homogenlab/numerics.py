@@ -7,6 +7,7 @@ Non-finite input, dimension mismatches and out-of-range parameters raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,13 @@ def soft_threshold(t, z: float):
     """
     if z < 0:
         raise ValueError(f"threshold must be non-negative, got {z}")
-    t = np.asarray(t, dtype=np.float64)
-    out = np.sign(t) * np.maximum(np.abs(t) - z, 0.0)
+    out = soft_threshold_unchecked(np.asarray(t, dtype=np.float64), z)
     return float(out) if out.ndim == 0 else out
+
+
+def soft_threshold_unchecked(t: np.ndarray, z: float) -> np.ndarray:
+    """``soft_threshold`` on a float64 array with ``z >= 0`` already checked."""
+    return np.sign(t) * np.maximum(np.abs(t) - z, 0.0)
 
 
 def norm(v, kind: str) -> float:
@@ -135,16 +140,25 @@ def rank_truncate(m, r: int) -> tuple[np.ndarray, float]:
     return truncated, tail
 
 
-def project_l2_ball(u, center, radius: float) -> np.ndarray:
-    """Euclidean projection of ``u`` onto the closed l2 ball."""
+def _checked_ball(u, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
     u = as_vector(u, "point")
     center = as_vector(center, "center")
     if u.shape != center.shape:
         raise ValueError(f"dimension mismatch: point {u.shape} vs center {center.shape}")
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
+    return u, center
+
+
+def project_l2_ball(u, center, radius: float) -> np.ndarray:
+    """Euclidean projection of ``u`` onto the closed l2 ball."""
+    return project_l2_ball_unchecked(*_checked_ball(u, center, radius), radius)
+
+
+def project_l2_ball_unchecked(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """``project_l2_ball`` on finite float64 vectors of equal length, ``radius >= 0``."""
     d = u - center
-    nd = np.linalg.norm(d)
+    nd = math.sqrt(d @ d)
     if nd <= radius:
         return u.copy()
     return center + d * (radius / nd)
@@ -153,12 +167,11 @@ def project_l2_ball(u, center, radius: float) -> np.ndarray:
 def project_linf_ball(u, center, radius: float) -> np.ndarray:
     """Euclidean projection of ``u`` onto the closed l-infinity ball
     (componentwise clamp)."""
-    u = as_vector(u, "point")
-    center = as_vector(center, "center")
-    if u.shape != center.shape:
-        raise ValueError(f"dimension mismatch: point {u.shape} vs center {center.shape}")
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
+    return project_linf_ball_unchecked(*_checked_ball(u, center, radius), radius)
+
+
+def project_linf_ball_unchecked(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """``project_linf_ball`` on finite float64 vectors of equal length, ``radius >= 0``."""
     return center + np.clip(u - center, -radius, radius)
 
 

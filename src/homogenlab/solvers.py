@@ -13,6 +13,11 @@ Each converged solution can be re-checked by an independent verifier built on
 feasibility plus a dual certificate (a scaled subgradient condition). The
 lasso residual is minimized through its square, which has the same
 minimizers; reports print the plain residual.
+
+Every report also classifies the minimizer from the returned primal-dual
+pair (Fuchs 2004; Zhang, Yin & Cheng 2015): rank-deficient columns on the
+support mean it is not unique; full column rank plus a dual strictly inside
+its bound off the support (qcbp, bpdn) mean it is unique.
 """
 
 from __future__ import annotations
@@ -24,19 +29,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import DEFAULT_SUPPORT_CAP
 from .numerics import (
+    RANK_TOLERANCE,
     as_matrix,
     as_vector,
     matrix_norm,
     numerical_rank,
-    project_l2_ball,
-    project_linf_ball,
+    project_l2_ball_unchecked,
+    project_linf_ball_unchecked,
     soft_threshold,
+    soft_threshold_unchecked,
 )
 
 VARIANTS = ("qcbp", "bpdn", "lasso", "dantzig")
-
-DEFAULT_SUPPORT_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,16 @@ class ProblemSpec:
         if self.variant in ("qcbp", "dantzig"):
             if self.eta is None or self.eta < 0:
                 raise ValueError("eta must be non-negative")
+        if self.variant == "qcbp":
+            # Infeasible iff y is farther than eta from range(A); the slack
+            # absorbs round-off in the least-squares residual (eta = 0).
+            coeffs = np.linalg.lstsq(a, y, rcond=None)[0]
+            r = a @ coeffs - y
+            gap = math.sqrt(r @ r)
+            if gap > self.eta + RANK_TOLERANCE * (1.0 + math.sqrt(y @ y)):
+                raise ValueError(
+                    f"qcbp is infeasible: y lies {gap:.6g} from the range of A, eta is {self.eta:.6g}"
+                )
         if self.variant == "bpdn" and (self.lam is None or self.lam <= 0):
             raise ValueError("lambda must be positive")
         if self.variant == "lasso" and (self.tau_budget is None or self.tau_budget < 0):
@@ -93,15 +109,14 @@ def dantzig(a, y, eta: float) -> ProblemSpec:
 class SolveConfig:
     max_iters: int = 50_000
     tol: float = 1e-8
-    step_sizes: tuple[float, float] | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Solver outcome. ``converged`` means both residuals dropped below the
-    configured tolerance; ``multiplicity_hint`` flags two starts reaching
-    equal objectives at visibly different points."""
+    configured tolerance. ``uniqueness`` is what the returned (solution, dual)
+    pair certifies about other minimizers: "unique", "not_unique" or
+    "undetermined"."""
 
     solution: np.ndarray
     objective: float
@@ -109,14 +124,13 @@ class SolveReport:
     dual_residual: float
     iterations: int
     converged: bool
-    multiplicity_hint: bool
+    uniqueness: str
     dual: np.ndarray
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball via the sorted-threshold rule."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    """Euclidean projection onto the l1 ball (``radius >= 0``) via the
+    sorted-threshold rule."""
     mag = np.abs(v)
     if mag.sum() <= radius:
         return v.copy()
@@ -142,23 +156,22 @@ def objective_value(problem: ProblemSpec, z) -> float:
 
 
 def _variant_operators(problem: ProblemSpec):
-    """(K, prox of the primal term, prox of the conjugate data term)."""
+    """(K, prox of the primal term, prox of the conjugate data term), on the
+    arrays ``ProblemSpec`` validated."""
     a, y = problem.a, problem.y
     if problem.variant == "qcbp":
         k = a
-
-        def prox_primal(z, t):
-            return soft_threshold(z, t)
+        prox_primal = soft_threshold_unchecked
 
         def prox_dual(u, s):
-            return u - s * project_l2_ball(u / s, y, problem.eta)
+            return u - s * project_l2_ball_unchecked(u / s, y, problem.eta)
 
     elif problem.variant == "bpdn":
         k = a
         lam = problem.lam
 
         def prox_primal(z, t):
-            return soft_threshold(z, t * lam)
+            return soft_threshold_unchecked(z, t * lam)
 
         def prox_dual(u, s):
             return 2.0 * (u - s * y) / (s + 2.0)
@@ -175,39 +188,35 @@ def _variant_operators(problem: ProblemSpec):
     else:  # dantzig
         k = a.T @ a
         center = a.T @ y
-
-        def prox_primal(z, t):
-            return soft_threshold(z, t)
+        prox_primal = soft_threshold_unchecked
 
         def prox_dual(u, s):
-            return u - s * project_linf_ball(u / s, center, problem.eta)
+            return u - s * project_linf_ball_unchecked(u / s, center, problem.eta)
 
     return k, prox_primal, prox_dual
 
 
-def _pdhg(problem, z0, config):
+def _pdhg(problem: ProblemSpec, config: SolveConfig):
+    """Over-relaxed primal-dual iteration from the origin."""
     k, prox_primal, prox_dual = _variant_operators(problem)
-    op_norm = matrix_norm(k, "spectral")
-    if config.step_sizes is not None:
-        tau, sigma = config.step_sizes
-        if tau <= 0 or sigma <= 0:
-            raise ValueError("step sizes must be positive")
-    else:
-        tau = sigma = 0.95 / max(op_norm, 1e-30)
-    z = z0.copy()
+    tau = sigma = 0.95 / max(matrix_norm(k, "spectral"), 1e-30)
+    kt = k.T
+    z = np.zeros(k.shape[1])
     u = np.zeros(k.shape[0])
     kz = k @ z
-    ktu = k.T @ u
+    ktu = kt @ u
     z_bar_k = kz.copy()
-    p_res = d_res = np.inf
+    p_res = d_res = math.inf
     iters = 0
     for iters in range(1, config.max_iters + 1):
         u_new = prox_dual(u + sigma * z_bar_k, sigma)
-        ktu_new = k.T @ u_new
+        ktu_new = kt @ u_new
         z_new = prox_primal(z - tau * ktu_new, tau)
         kz_new = k @ z_new
-        p_res = float(np.linalg.norm((z - z_new) / tau - (ktu - ktu_new)))
-        d_res = float(np.linalg.norm((u - u_new) / sigma - (kz - kz_new)))
+        r = (z - z_new) / tau - (ktu - ktu_new)
+        p_res = math.sqrt(r @ r)
+        r = (u - u_new) / sigma - (kz - kz_new)
+        d_res = math.sqrt(r @ r)
         z_bar_k = 2.0 * kz_new - kz
         z, u, kz, ktu = z_new, u_new, kz_new, ktu_new
         if max(p_res, d_res) <= config.tol:
@@ -216,25 +225,38 @@ def _pdhg(problem, z0, config):
     return z, u, p_res, d_res, iters, converged
 
 
-def solve(problem: ProblemSpec, config: SolveConfig = SolveConfig()) -> SolveReport:
-    """Run the primal-dual engine on one of the four programs.
+def _uniqueness(problem: ProblemSpec, z: np.ndarray, u: np.ndarray, tol: float) -> str:
+    """Classify the minimizer from a converged primal-dual pair.
 
-    Two starts are run: the origin (reported) and a seeded random point used
-    only to flag solution multiplicity. A report with ``converged=False``
-    means the iteration cap was hit, never a silently wrong answer.
+    Entries above ``sqrt(tol)`` form the support S, and the off-support dual
+    must clear its bound by the same relative margin. If A_S is numerically
+    rank-deficient (``numerical_rank``), a null vector h moves z without
+    changing A z and moves ||z||_1 linearly, so z + t h for small |t| of the
+    right sign is another minimizer of every variant. For qcbp and bpdn,
+    full column rank plus a dual strictly below its bound off S forces every
+    minimizer onto S with the same A z, hence z itself.
     """
-    n = problem.a.shape[1]
-    z, u, p_res, d_res, iters, converged = _pdhg(problem, np.zeros(n), config)
-    rng = np.random.default_rng(config.seed)
-    alt0 = rng.standard_normal(n)
-    alt, _, _, _, _, alt_converged = _pdhg(problem, alt0, config)
-    multiplicity = False
-    if converged and alt_converged:
-        same_value = abs(objective_value(problem, z) - objective_value(problem, alt)) <= (
-            config.tol * (1.0 + abs(objective_value(problem, z)))
-        )
-        far_apart = float(np.max(np.abs(z - alt))) > 100.0 * config.tol
-        multiplicity = same_value and far_apart
+    cut = math.sqrt(tol)
+    a = problem.a
+    support = np.abs(z) > cut
+    a_s = a[:, support]
+    if a_s.shape[1] and numerical_rank(a_s) < a_s.shape[1]:
+        return "not_unique"
+    if problem.variant not in ("qcbp", "bpdn"):
+        return "undetermined"
+    bound = 1.0 if problem.variant == "qcbp" else problem.lam
+    off = np.abs(a[:, ~support].T @ u)
+    if off.size and float(off.max()) >= bound * (1.0 - cut):
+        return "undetermined"
+    return "unique"
+
+
+def solve(problem: ProblemSpec, config: SolveConfig = SolveConfig()) -> SolveReport:
+    """Run the primal-dual engine once, from the origin, on one of the four
+    programs. A report with ``converged=False`` means the iteration cap was
+    hit, never a silently wrong answer; its uniqueness is undetermined.
+    """
+    z, u, p_res, d_res, iters, converged = _pdhg(problem, config)
     return SolveReport(
         solution=z,
         objective=objective_value(problem, z),
@@ -242,7 +264,7 @@ def solve(problem: ProblemSpec, config: SolveConfig = SolveConfig()) -> SolveRep
         dual_residual=d_res,
         iterations=iters,
         converged=converged,
-        multiplicity_hint=multiplicity,
+        uniqueness=_uniqueness(problem, z, u, config.tol) if converged else "undetermined",
         dual=u,
     )
 

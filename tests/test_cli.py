@@ -56,6 +56,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_infeasible_qcbp_exits_one(self, tmp_path, capsys):
+        a_path = tmp_path / "a.csv"
+        write_matrix_csv(a_path, np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), "test", {})
+        code = run(["solve", "--variant", "qcbp", "--in", str(a_path), "--y", "1,0,0", "--eta", "0.5"])
+        assert code == 1
+        assert "infeasible" in capsys.readouterr().err
+
 
 class TestPrintedValues:
     def test_lower_bound_identity(self, capsys):
@@ -126,6 +133,21 @@ class TestSolverCommands:
         sol = [float(v) for v in out.split("solution=")[1].split()[0].split(",")]
         assert np.allclose(sol, [2.0, 0.0], atol=1e-7)
 
+    def test_solve_vector_with_leading_minus(self, tmp_path, capsys):
+        a_path = tmp_path / "a.csv"
+        out_path = tmp_path / "solve.csv"
+        write_matrix_csv(a_path, np.eye(2), "test", {})
+        args = ["solve", "--variant", "qcbp", "--in", str(a_path), "--y", "-3,0", "--eta", "1"]
+        assert run(args + ["--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        sol = [float(v) for v in out.split("solution=")[1].split()[0].split(",")]
+        assert np.allclose(sol, [-2.0, 0.0], atol=1e-7)
+        assert "uniqueness=unique" in out
+        lines = out_path.read_text().splitlines()
+        assert " y=-3;0 " in lines[0]
+        assert lines[1].split(",")[5] == "uniqueness"
+        assert lines[2].split(",")[5] == "unique"
+
     def test_ista_trajectory_csv(self, tmp_path):
         a_path = tmp_path / "a.csv"
         out_path = tmp_path / "traj.csv"
@@ -194,6 +216,19 @@ class TestReportsAndDeterminism:
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_robustness_vector_with_leading_minus(self, tmp_path, rng):
+        net_path = tmp_path / "net.json"
+        save_net(net_path, unbiased_relu_net([rng.standard_normal((6, 3)), rng.standard_normal((4, 6))]))
+        a_path = tmp_path / "a.csv"
+        write_matrix_csv(a_path, rng.standard_normal((3, 4)), "test", {})
+        out = tmp_path / "r.csv"
+        args = [
+            "robustness", "--net", str(net_path), "--in", str(a_path),
+            "--x", "-1,0.5,0,0", "--levels", "0.01", "--trials", "2", "--seed", "9", "--out", str(out),
+        ]
+        assert run(args) == 0
+        assert " x=-1;0.5;0;0 " in out.read_text().splitlines()[0]
 
     def test_rip_generated_matrix_deterministic(self, tmp_path):
         args = ["rip", "--gaussian-m", "4", "--gaussian-n", "6", "--seed", "11", "--order", "2"]

@@ -6,6 +6,7 @@ from homogenlab.experiments import (
     format_cell,
     gaussian_matrix,
     impossibility_experiment,
+    read_matrix_csv,
     recovery_experiment,
     render_csv,
     sparse_signal_sampler,
@@ -47,6 +48,18 @@ class TestHelpers:
     def test_gaussian_matrix_unit_columns(self, rng):
         a = gaussian_matrix(rng, 4, 7)
         assert np.allclose(np.linalg.norm(a, axis=0), 1.0, atol=1e-12)
+
+    def test_read_matrix_csv_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "a.csv"
+        for text, where, got in (
+            ("# command=test\n1,2\n3,\n", "3: column 2", "''"),
+            ("1,2\n3,x4\n", "2: column 2", "'x4'"),
+            ("\n1,nan\n", "2: column 2", "'nan'"),
+            ("1,2\n\n3\n", "3", "ragged"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=rf"a\.csv:{where}: .*{got}"):
+                read_matrix_csv(path)
 
     def test_sparse_tail(self):
         assert sparse_tail_l1(np.array([3.0, -1.0, 0.5]), 1) == 1.5

@@ -258,6 +258,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="JSON"):
             deserialize("{not json")
 
+    def test_boolean_numbers_rejected_with_location(self):
+        doc = """{"activation": {"relu_family": {"alpha": 1.0, "beta": 0.0}}, "unbiased": true,
+                  "layers": [{"weights": [[1.0], [2.0], [3.0]], "bias": null},
+                             {"weights": [[1.0, 2.0, true]], "bias": null}]}"""
+        with pytest.raises(ValueError, match=r"^layers\[1\]\.weights\[0\]\[2\]: .*true"):
+            deserialize(doc)
+        doc = """{"activation": {"relu_family": {"alpha": true, "beta": 0.0}}, "unbiased": true,
+                  "layers": [{"weights": [[1.0]], "bias": null}]}"""
+        with pytest.raises(ValueError, match=r"^activation\.relu_family\.alpha: "):
+            deserialize(doc)
+
+    def test_non_finite_numbers_rejected_with_location(self):
+        doc = """{"activation": {"named": "tanh"}, "unbiased": true,
+                  "layers": [{"weights": [[1.0], [NaN]], "bias": null},
+                             {"weights": [[1.0, 2.0]], "bias": null}]}"""
+        with pytest.raises(ValueError, match=r"^layers\[0\]\.weights\[1\]\[0\]: .*NaN"):
+            deserialize(doc)
+        doc = """{"activation": {"named": "tanh"}, "unbiased": false,
+                  "layers": [{"weights": [[1.0], [2.0]], "bias": [0.0, Infinity]},
+                             {"weights": [[1.0, 2.0]], "bias": null}]}"""
+        with pytest.raises(ValueError, match=r"^layers\[0\]\.bias\[1\]: .*Infinity"):
+            deserialize(doc)
+        for beyond_float in ("1e400", "1" + "0" * 400):
+            doc = f"""{{"activation": {{"named": "tanh"}}, "unbiased": true,
+                      "layers": [{{"weights": [[1.0, {beyond_float}]], "bias": null}}]}}"""
+            with pytest.raises(ValueError, match=r"^layers\[0\]\.weights\[0\]\[1\]: "):
+                deserialize(doc)
+
     def test_ragged_weights_rejected(self):
         doc = """{"activation": {"named": "tanh"}, "unbiased": true,
                   "layers": [{"weights": [[1.0, 2.0], [1.0]], "bias": null}]}"""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import low_coherence_matrix
+from homogenlab import solvers
 from homogenlab.numerics import matrix_norm, soft_threshold
 from homogenlab.solvers import (
     SolveConfig,
@@ -42,6 +43,14 @@ class TestProblemSpec:
     def test_measurement_length_checked(self):
         with pytest.raises(ValueError):
             qcbp(np.eye(2), np.ones(3), 0.1)
+
+    def test_infeasible_qcbp_rejected(self):
+        # range(A) is the line through (1, 2, 3); (1, 0, 0) lies 0.96 from it
+        rank_deficient = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        with pytest.raises(ValueError, match="infeasible"):
+            qcbp(rank_deficient, [1.0, 0.0, 0.0], 0.5)
+        qcbp(rank_deficient, [1.0, 0.0, 0.0], 0.97)
+        qcbp(rank_deficient, [0.1, 0.2, 0.3], 0.0)
 
 
 class TestSolveClosedForms:
@@ -100,6 +109,44 @@ class TestSolveClosedForms:
         report = solve(qcbp(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(max_iters=2))
         assert not report.converged
         assert report.iterations == 2
+        assert report.uniqueness == "undetermined"
+
+
+class TestUniqueness:
+    def test_solve_runs_the_engine_once(self, monkeypatch):
+        calls = []
+        engine = solvers._pdhg
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(solvers, "_pdhg", counted)
+        solve(qcbp(np.eye(2), [3.0, 0.0], 1.0))
+        assert len(calls) == 1
+
+    def test_duplicated_column_basis_pursuit_is_not_unique(self):
+        a = low_coherence_matrix(np.random.default_rng(5), 5, 7)
+        a = np.hstack([a, a[:, :1]])
+        report = solve(qcbp(a, a[:, 0], 0.0))
+        assert report.converged
+        assert report.uniqueness == "not_unique"
+
+    def test_well_conditioned_one_sparse_is_unique(self):
+        a = low_coherence_matrix(np.random.default_rng(5), 6, 8)
+        y = a[:, 2]
+        for problem in (qcbp(a, y, 0.05), bpdn(a, y, 0.1)):
+            report = solve(problem)
+            assert report.converged, problem.variant
+            assert report.uniqueness == "unique", problem.variant
+
+    def test_dual_must_clear_its_bound_off_the_support(self):
+        problem = qcbp(np.eye(2), [3.0, 0.0], 1.0)
+        z = np.array([2.0, 0.0])
+        assert solvers._uniqueness(problem, z, np.array([-1.0, 0.5]), 1e-8) == "unique"
+        for at_bound in (1.0, 1.0 - 1e-6):
+            u = np.array([-1.0, at_bound])
+            assert solvers._uniqueness(problem, z, u, 1e-8) == "undetermined"
 
 
 class TestNoiseScaling:
