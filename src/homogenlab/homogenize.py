@@ -12,6 +12,7 @@ one-hidden-layer net per output coordinate, and lifts the result.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -225,6 +226,17 @@ def _init_params(rng, width, in_dim, out_dim, unbiased):
     return w1, b1, w2, b2
 
 
+def _merge_repeated_rows(u: np.ndarray, t: np.ndarray):
+    """Merge bitwise-identical (input, target) rows into one row each, in
+    first-occurrence order, with the repeat count as a float weight column."""
+    rows = np.ascontiguousarray(np.hstack([u, t]))
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    keep = first[order]
+    return u[keep], t[keep], counts[order].astype(np.float64)[:, None]
+
+
 def fit_regression(
     inputs, targets, config: FitConfig, unbiased: bool = False, curve: list | None = None
 ) -> tuple[NetworkSpec, float]:
@@ -235,6 +247,10 @@ def fit_regression(
     config seed. ``unbiased=True`` pins all biases to zero so the fitted net
     is scale invariant. Pass a list as ``curve`` to collect
     (restart, step, mse) training-curve rows.
+
+    Identical rows are merged once into one weighted row; the objective (mean
+    squared error over all original rows) is unchanged, and data without
+    repeats trains to the same bits as the plain per-row loop.
     """
     u = as_matrix(np.atleast_2d(np.asarray(inputs, dtype=np.float64)), "inputs")
     t = np.asarray(targets, dtype=np.float64)
@@ -248,40 +264,61 @@ def fit_regression(
     n, in_dim = u.shape
     out_dim = t.shape[1]
     denom = n * out_dim
+    u, t, weight = _merge_repeated_rows(u, t)
+    grad_scale = (2.0 / denom) * weight
+
+    # Step buffers, reused by every step of every restart.
+    rows, width = u.shape[0], config.width
+    pre = np.empty((rows, width))
+    hid = np.empty((rows, width))
+    d_hid = np.empty((rows, width))
+    active = np.empty((rows, width), dtype=bool)
+    out = np.empty((rows, out_dim))
+    resid = np.empty((rows, out_dim))
+    sq = np.empty((rows, out_dim))
+    d_out = np.empty((rows, out_dim))
+    g_w1 = np.empty((width, in_dim))
+    g_w2 = np.empty((out_dim, width))
 
     best = None
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
-        w1, b1, w2, b2 = _init_params(rng, config.width, in_dim, out_dim, unbiased)
+        w1, b1, w2, b2 = _init_params(rng, width, in_dim, out_dim, unbiased)
         lr = config.learning_rate
-        mse = np.inf
+        mse = math.inf
         for step in range(config.steps):
-            pre = u @ w1.T
+            np.dot(u, w1.T, out=pre)
             if b1 is not None:
-                pre = pre + b1
-            hid = np.maximum(pre, 0.0)
-            out = hid @ w2.T
+                pre += b1
+            np.maximum(pre, 0.0, out=hid)
+            np.dot(hid, w2.T, out=out)
             if b2 is not None:
-                out = out + b2
-            resid = out - t
-            mse = float(np.sum(resid * resid)) / denom
+                out += b2
+            np.subtract(out, t, out=resid)
+            np.multiply(resid, resid, out=sq)
+            sq *= weight
+            mse = float(np.sum(sq)) / denom
             if curve is not None:
                 curve.append((restart, step, mse))
-            if not np.isfinite(mse):
+            if not math.isfinite(mse):
                 break
             if mse <= config.target_mse:
                 break
-            d_out = (2.0 / denom) * resid
-            g_w2 = d_out.T @ hid
-            d_hid = (d_out @ w2) * (pre > 0.0)
-            g_w1 = d_hid.T @ u
-            w1 = w1 - lr * g_w1
-            w2 = w2 - lr * g_w2
+            np.multiply(resid, grad_scale, out=d_out)
+            np.dot(d_out.T, hid, out=g_w2)
+            np.dot(d_out, w2, out=d_hid)
+            np.greater(pre, 0.0, out=active)
+            d_hid *= active
+            np.dot(d_hid.T, u, out=g_w1)
+            g_w1 *= lr
+            w1 -= g_w1
+            g_w2 *= lr
+            w2 -= g_w2
             if b1 is not None:
-                b1 = b1 - lr * d_hid.sum(axis=0)
+                b1 -= lr * d_hid.sum(axis=0)
             if b2 is not None:
-                b2 = b2 - lr * d_out.sum(axis=0)
-        if not np.isfinite(mse):
+                b2 -= lr * d_out.sum(axis=0)
+        if not math.isfinite(mse):
             continue
         if best is None or mse < best[0]:
             best = (mse, restart, w1, b1, w2, b2)

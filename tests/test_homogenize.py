@@ -181,6 +181,54 @@ class TestMcshaneExtension:
             assert np.max(np.abs(f(x) - f(y))) <= lip * gap * (1 + 1e-9)
 
 
+def reference_fit(u, t, config, unbiased):
+    """Plain per-row full-batch gradient descent with restarts: fresh arrays
+    every step, no merged rows. Returns the chosen restart's weights and the
+    whole training curve."""
+    t = t[:, None] if t.ndim == 1 else t
+    n, in_dim = u.shape
+    out_dim = t.shape[1]
+    denom = n * out_dim
+    curve = []
+    best = None
+    for restart in range(config.restarts):
+        rng = np.random.default_rng([config.seed, restart])
+        w1 = rng.standard_normal((config.width, in_dim)) / np.sqrt(in_dim)
+        w2 = rng.standard_normal((out_dim, config.width)) / np.sqrt(config.width)
+        b1 = None if unbiased else 0.1 * rng.standard_normal(config.width)
+        b2 = None if unbiased else np.zeros(out_dim)
+        lr = config.learning_rate
+        mse = np.inf
+        for step in range(config.steps):
+            pre = u @ w1.T
+            if b1 is not None:
+                pre = pre + b1
+            hid = np.maximum(pre, 0.0)
+            out = hid @ w2.T
+            if b2 is not None:
+                out = out + b2
+            resid = out - t
+            mse = float(np.sum(resid * resid)) / denom
+            curve.append((restart, step, mse))
+            if not np.isfinite(mse) or mse <= config.target_mse:
+                break
+            d_out = (2.0 / denom) * resid
+            g_w2 = d_out.T @ hid
+            d_hid = (d_out @ w2) * (pre > 0.0)
+            g_w1 = d_hid.T @ u
+            w1 = w1 - lr * g_w1
+            w2 = w2 - lr * g_w2
+            if b1 is not None:
+                b1 = b1 - lr * d_hid.sum(axis=0)
+            if b2 is not None:
+                b2 = b2 - lr * d_out.sum(axis=0)
+        if np.isfinite(mse) and (best is None or mse < best[0]):
+            best = (mse, (w1, b1, w2, b2))
+        if best is not None and best[0] <= config.target_mse:
+            break
+    return best[1], curve
+
+
 class TestFitter:
     def test_linear_target_fits_to_tolerance(self, rng):
         u = sample_l1_sphere(rng, 3, 64)
@@ -217,6 +265,37 @@ class TestFitter:
         net, _ = fit_regression(u, u[:, :1], FitConfig(4, 0.2, 100, 1, 0), unbiased=True)
         assert net.unbiased
         assert all(layer.bias is None for layer in net.layers)
+
+    def test_repeated_rows_fit_like_rows_taken_once(self, rng):
+        u = sample_l1_sphere(rng, 3, 12)
+        t = np.column_stack([u[:, 0] ** 2, np.abs(u[:, 1])])
+        cfg = FitConfig(width=6, learning_rate=0.3, steps=300, restarts=2, seed=4)
+        once, mse_once = fit_regression(u, t, cfg)
+        thrice, mse_thrice = fit_regression(np.repeat(u, 3, axis=0), np.repeat(t, 3, axis=0), cfg)
+        assert mse_thrice == pytest.approx(mse_once, rel=1e-12)
+        for a, b in zip(once.layers, thrice.layers):
+            np.testing.assert_allclose(b.weights, a.weights, rtol=1e-9)
+            np.testing.assert_allclose(b.bias, a.bias, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "out_dim, unbiased, width", [(1, False, 16), (4, True, 8)], ids=["biased-1", "unbiased-4"]
+    )
+    def test_distinct_rows_match_reference_loop_bitwise(self, rng, out_dim, unbiased, width):
+        u = sample_l1_sphere(rng, 3, 40)
+        t = np.abs(u) @ rng.standard_normal((3, out_dim))
+        t = t[:, 0] if out_dim == 1 else t
+        cfg = FitConfig(width=width, learning_rate=0.3, steps=200, restarts=2, seed=9)
+        curve = []
+        net, _ = fit_regression(u, t, cfg, unbiased=unbiased, curve=curve)
+        (w1, b1, w2, b2), ref_curve = reference_fit(u, t, cfg, unbiased)
+        assert np.array_equal(np.array(curve), np.array(ref_curve))
+        assert np.array_equal(net.layers[0].weights, w1)
+        assert np.array_equal(net.layers[1].weights, w2)
+        if unbiased:
+            assert net.layers[0].bias is None and net.layers[1].bias is None
+        else:
+            assert np.array_equal(net.layers[0].bias, b1)
+            assert np.array_equal(net.layers[1].bias, b2)
 
     def test_sphere_sample_set_validates_norms(self):
         with pytest.raises(ValueError, match="norm"):
