@@ -243,10 +243,11 @@ def fit_regression(
     """Fit a one-hidden-layer relu network to (input, target) rows by seeded
     full-batch gradient descent with restarts.
 
-    Returns the best restart by (mse, restart index); deterministic given the
-    config seed. ``unbiased=True`` pins all biases to zero so the fitted net
-    is scale invariant. Pass a list as ``curve`` to collect
-    (restart, step, mse) training-curve rows.
+    Returns the best restart by (mse, restart index), where mse is that of
+    the returned weights; deterministic given the config seed.
+    ``unbiased=True`` pins all biases to zero so the fitted net is scale
+    invariant. Pass a list as ``curve`` to collect (restart, step, mse)
+    training-curve rows, one per step.
 
     Identical rows are merged once into one weighted row; the objective (mean
     squared error over all original rows) is unchanged, and data without
@@ -280,29 +281,29 @@ def fit_regression(
     g_w1 = np.empty((width, in_dim))
     g_w2 = np.empty((out_dim, width))
 
+    def forward_mse(w1, b1, w2, b2) -> float:
+        np.dot(u, w1.T, out=pre)
+        if b1 is not None:
+            np.add(pre, b1, out=pre)
+        np.maximum(pre, 0.0, out=hid)
+        np.dot(hid, w2.T, out=out)
+        if b2 is not None:
+            np.add(out, b2, out=out)
+        np.subtract(out, t, out=resid)
+        np.multiply(resid, resid, out=sq)
+        np.multiply(sq, weight, out=sq)
+        return float(np.sum(sq)) / denom
+
     best = None
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
         w1, b1, w2, b2 = _init_params(rng, width, in_dim, out_dim, unbiased)
         lr = config.learning_rate
-        mse = math.inf
         for step in range(config.steps):
-            np.dot(u, w1.T, out=pre)
-            if b1 is not None:
-                pre += b1
-            np.maximum(pre, 0.0, out=hid)
-            np.dot(hid, w2.T, out=out)
-            if b2 is not None:
-                out += b2
-            np.subtract(out, t, out=resid)
-            np.multiply(resid, resid, out=sq)
-            sq *= weight
-            mse = float(np.sum(sq)) / denom
+            mse = forward_mse(w1, b1, w2, b2)
             if curve is not None:
                 curve.append((restart, step, mse))
-            if not math.isfinite(mse):
-                break
-            if mse <= config.target_mse:
+            if not math.isfinite(mse) or mse <= config.target_mse:
                 break
             np.multiply(resid, grad_scale, out=d_out)
             np.dot(d_out.T, hid, out=g_w2)
@@ -318,6 +319,9 @@ def fit_regression(
                 b1 -= lr * d_hid.sum(axis=0)
             if b2 is not None:
                 b2 -= lr * d_out.sum(axis=0)
+        else:
+            # The budget ran out after an update: report the returned weights.
+            mse = forward_mse(w1, b1, w2, b2)
         if not math.isfinite(mse):
             continue
         if best is None or mse < best[0]:

@@ -183,12 +183,24 @@ class TestMcshaneExtension:
 
 def reference_fit(u, t, config, unbiased):
     """Plain per-row full-batch gradient descent with restarts: fresh arrays
-    every step, no merged rows. Returns the chosen restart's weights and the
-    whole training curve."""
+    every step, no merged rows. Returns the chosen restart's weights, the MSE
+    of those weights and the whole training curve."""
     t = t[:, None] if t.ndim == 1 else t
     n, in_dim = u.shape
     out_dim = t.shape[1]
     denom = n * out_dim
+
+    def forward(w1, b1, w2, b2):
+        pre = u @ w1.T
+        if b1 is not None:
+            pre = pre + b1
+        hid = np.maximum(pre, 0.0)
+        out = hid @ w2.T
+        if b2 is not None:
+            out = out + b2
+        resid = out - t
+        return pre, hid, resid, float(np.sum(resid * resid)) / denom
+
     curve = []
     best = None
     for restart in range(config.restarts):
@@ -198,17 +210,8 @@ def reference_fit(u, t, config, unbiased):
         b1 = None if unbiased else 0.1 * rng.standard_normal(config.width)
         b2 = None if unbiased else np.zeros(out_dim)
         lr = config.learning_rate
-        mse = np.inf
         for step in range(config.steps):
-            pre = u @ w1.T
-            if b1 is not None:
-                pre = pre + b1
-            hid = np.maximum(pre, 0.0)
-            out = hid @ w2.T
-            if b2 is not None:
-                out = out + b2
-            resid = out - t
-            mse = float(np.sum(resid * resid)) / denom
+            pre, hid, resid, mse = forward(w1, b1, w2, b2)
             curve.append((restart, step, mse))
             if not np.isfinite(mse) or mse <= config.target_mse:
                 break
@@ -222,11 +225,13 @@ def reference_fit(u, t, config, unbiased):
                 b1 = b1 - lr * d_hid.sum(axis=0)
             if b2 is not None:
                 b2 = b2 - lr * d_out.sum(axis=0)
+        else:
+            mse = forward(w1, b1, w2, b2)[3]
         if np.isfinite(mse) and (best is None or mse < best[0]):
             best = (mse, (w1, b1, w2, b2))
         if best is not None and best[0] <= config.target_mse:
             break
-    return best[1], curve
+    return best[1], best[0], curve
 
 
 class TestFitter:
@@ -277,6 +282,18 @@ class TestFitter:
             np.testing.assert_allclose(b.weights, a.weights, rtol=1e-9)
             np.testing.assert_allclose(b.bias, a.bias, rtol=1e-9)
 
+    @pytest.mark.parametrize("steps", [5, 300])
+    def test_reported_mse_is_that_of_returned_net(self, rng, steps):
+        u = sample_l1_sphere(rng, 3, 32)
+        t = np.abs(u[:, 0]) - u[:, 1] ** 2
+        cfg = FitConfig(width=8, learning_rate=0.3, steps=steps, restarts=2, seed=2)
+        curve = []
+        net, mse = fit_regression(u, t, cfg, curve=curve)
+        pred = np.array([evaluate(net, x)[0] for x in u])
+        actual = float(np.mean((pred - t) ** 2))
+        assert mse == pytest.approx(actual, rel=1e-12)
+        assert len(curve) == 2 * steps
+
     @pytest.mark.parametrize(
         "out_dim, unbiased, width", [(1, False, 16), (4, True, 8)], ids=["biased-1", "unbiased-4"]
     )
@@ -286,8 +303,9 @@ class TestFitter:
         t = t[:, 0] if out_dim == 1 else t
         cfg = FitConfig(width=width, learning_rate=0.3, steps=200, restarts=2, seed=9)
         curve = []
-        net, _ = fit_regression(u, t, cfg, unbiased=unbiased, curve=curve)
-        (w1, b1, w2, b2), ref_curve = reference_fit(u, t, cfg, unbiased)
+        net, mse = fit_regression(u, t, cfg, unbiased=unbiased, curve=curve)
+        (w1, b1, w2, b2), ref_mse, ref_curve = reference_fit(u, t, cfg, unbiased)
+        assert mse == pytest.approx(ref_mse, rel=1e-12)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
         assert np.array_equal(net.layers[0].weights, w1)
         assert np.array_equal(net.layers[1].weights, w2)
