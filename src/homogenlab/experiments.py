@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
+import shlex
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
@@ -46,8 +48,21 @@ def format_cell(value) -> str:
     return str(value)
 
 
+#: A bare value holding one of these would not read back whole via shlex.split.
+_NEEDS_QUOTES = re.compile(r"[\s'\"\\]")
+
+
+def _config_value(value) -> str:
+    text = format_cell(value)
+    return shlex.quote(text) if _NEEDS_QUOTES.search(text) else text
+
+
 def config_line(command: str, config: dict) -> str:
-    parts = [f"command={command}"] + [f"{k}={format_cell(v)}" for k, v in config.items()]
+    """``# command=... key=value ...``; ``shlex.split`` reads each pair back
+    as one token, because values holding whitespace, quotes or backslashes
+    are shell-quoted (all others stay bare)."""
+    parts = [f"command={_config_value(command)}"]
+    parts += [f"{k}={_config_value(v)}" for k, v in config.items()]
     return "# " + " ".join(parts)
 
 

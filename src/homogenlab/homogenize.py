@@ -403,8 +403,9 @@ def build_inverse_recovery_net(
     vals = np.array(vals)
 
     # The extension only needs distinct directions (contradictory repeats are
-    # rejected by its consistency check); repeated draws stay in the training
-    # rows, where they act as weights.
+    # rejected by its consistency check). Repeated draws stay in the training
+    # data; fit_regression merges them into weighted rows, so they still count
+    # once per draw in the objective.
     _, keep = np.unique(dirs.round(decimals=12), axis=0, return_index=True)
     keep.sort()
     anchor_dirs = dirs[keep]

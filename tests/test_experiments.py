@@ -1,8 +1,11 @@
+import shlex
+
 import numpy as np
 import pytest
 
 from homogenlab.experiments import (
     IMPOSSIBILITY_HEADER,
+    config_line,
     format_cell,
     gaussian_matrix,
     impossibility_experiment,
@@ -44,6 +47,21 @@ class TestHelpers:
         assert lines[0] == "# command=demo seed=4"
         assert lines[1] == "a,b"
         assert lines[2] == "1,0.5"
+
+    def test_config_line_quotes_ambiguous_values(self):
+        config = {"variant": "qcbp", "in": "x y=z/a.csv", "y": "3;0", "note": "it's"}
+        line = config_line("solve", config)
+        tokens = shlex.split(line)
+        assert tokens[0] == "#"
+        pairs = dict(token.split("=", 1) for token in tokens[1:])
+        assert pairs == {"command": "solve", **config}
+
+    def test_config_line_leaves_plain_values_bare(self):
+        config = {"noise": "0.001;0.01;0.1", "lam": "", "in": "runs/a.csv", "seed": 3, "eta": 0.1}
+        assert config_line("recovery-experiment", config) == (
+            "# command=recovery-experiment noise=0.001;0.01;0.1 lam= in=runs/a.csv seed=3 "
+            "eta=0.10000000000000001"
+        )
 
     def test_gaussian_matrix_unit_columns(self, rng):
         a = gaussian_matrix(rng, 4, 7)
