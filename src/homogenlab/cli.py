@@ -8,6 +8,7 @@ stderr), 2 iteration cap reached without convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -106,7 +107,10 @@ def _add_fit_flags(p, width_default=128):
     p.add_argument("--target-mse", type=float, default=2e-5)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process; ``parse_args``
+    returns a fresh namespace each call."""
     parser = _Parser(prog="homogenlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -129,7 +133,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--points", type=int, default=64)
-    p.add_argument("--scales", type=_floats, default=list(network.DEFAULT_PROBE_SCALES))
+    p.add_argument("--scales", type=_floats, default=network.DEFAULT_PROBE_SCALES)
     p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--out")
 
@@ -230,7 +234,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise", type=_floats, default=[1e-3, 1e-2, 1e-1])
+    p.add_argument("--noise", type=_floats, default=(1e-3, 1e-2, 1e-1))
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--signals", type=int)
     p.add_argument("--densify", type=int, default=96)

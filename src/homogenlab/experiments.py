@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import re
 import shlex
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,22 +18,6 @@ import numpy as np
 from .bounds import DirectionSet, one_layer_lower_bound, rip_exhaustive
 from .homogenize import FitConfig, build_inverse_recovery_net, fit_regression
 from .network import NetworkSpec, evaluate
-
-THREADS_ENV_VAR = "HOMOGENLAB_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap: HOMOGENLAB_THREADS if set, else machine parallelism."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be at least 1, got {value}")
-        return value
-    return os.cpu_count() or 1
 
 
 def format_cell(value) -> str:
@@ -212,9 +194,7 @@ def impossibility_experiment(
         err = max_signed_basis_error(net, a)
         return (width, err, bound, mse, np.isfinite(err))
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(widths))) as pool:
-        rows = list(pool.map(run, enumerate(widths)))
-    return a, rows
+    return a, [run(item) for item in enumerate(widths)]
 
 
 RECOVERY_HEADER = ("case", "index", "norm_x", "sparse_tail_l1", "norm_e", "error")

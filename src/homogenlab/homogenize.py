@@ -311,7 +311,7 @@ def fit_regression(
             np.multiply(resid, grad_scale, out=d_out)
             np.matmul(d_out.T, hid, out=g_w2)
             # matmul leaves BLAS for this product when out_dim is 1 (about 3x
-            # slower); np.dot everywhere instead slowed fits on the worker pool.
+            # slower); np.dot everywhere instead slowed fits run on two threads.
             np.dot(d_out, w2, out=d_hid)
             np.greater(pre, 0.0, out=active)
             d_hid *= active

@@ -1,8 +1,12 @@
 """Convex l1 recovery programs, their unrolled iterations, and forward
 operators for quadratic measurements.
 
-One first-order primal-dual splitting engine (proximal steps on both sides,
-over-relaxation on the primal) drives four programs:
+One first-order primal-dual engine drives four programs: PDHG (proximal
+steps on both sides) in the restarted, reflected Halpern form of Lu & Yang
+2024 ("Restarted Halpern PDHG for linear programming"), with the restart
+constants and adaptive primal weight of PDLP (Applegate et al. 2021,
+"Practical large-scale linear programming using primal-dual hybrid
+gradient"):
 
     qcbp     min ||z||_1           s.t. ||A z - y||_2 <= eta
     bpdn     min lam ||z||_1 + ||A z - y||_2^2
@@ -114,9 +118,9 @@ class SolveConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """Solver outcome. ``converged`` means both residuals dropped below the
-    configured tolerance. ``uniqueness`` is what the returned (solution, dual)
-    pair certifies about other minimizers: "unique", "not_unique" or
-    "undetermined"."""
+    configured tolerance (bpdn's primal residual below tol * min(1, lam)).
+    ``uniqueness`` is what the returned (solution, dual) pair certifies
+    about other minimizers: "unique", "not_unique" or "undetermined"."""
 
     solution: np.ndarray
     objective: float
@@ -196,33 +200,87 @@ def _variant_operators(problem: ProblemSpec):
     return k, prox_primal, prox_dual
 
 
+# Restart constants of PDLP (Applegate et al. 2021), applied to the reflected
+# Halpern iteration of Lu & Yang 2024: restart once the fixed-point residual
+# has fallen to SUFFICIENT x its value at the restart point, or to NECESSARY x
+# that value and rose in the last step, or after ARTIFICIAL x all steps so far.
+_RESTART_SUFFICIENT = 0.2
+_RESTART_NECESSARY = 0.8
+_RESTART_ARTIFICIAL = 0.36
+# Movement below this leaves the primal weight as it is.
+_MOVEMENT_FLOOR = 1e-10
+
+
 def _pdhg(problem: ProblemSpec, config: SolveConfig):
-    """Over-relaxed primal-dual iteration from the origin."""
+    """Restarted, reflected Halpern PDHG with an adaptive primal weight, from
+    the origin (Lu & Yang 2024, "Restarted Halpern PDHG for linear
+    programming"; primal weight after Applegate et al. 2021, PDLP).
+
+    T is one PDHG step, primal first, with tau = step / omega and
+    sigma = step omega, where step = 0.95 / ||K||. From the restart point w0
+    the iterates are w_{j+1} = (j+1)/(j+2) (2 T(w_j) - w_j) + 1/(j+2) w0. A
+    restart moves w0 to T(w_j) and sets omega <- sqrt(omega ||du|| / ||dz||)
+    from the movement since the previous restart. The residuals, the
+    stopping test and the returned pair are those of T(w_j). bpdn's primal
+    residual bounds how far ||A^T u||_inf exceeds lam, so there it must fall
+    below tol * min(1, lam).
+    """
     k, prox_primal, prox_dual = _variant_operators(problem)
-    tau = sigma = 0.95 / max(matrix_norm(k, "spectral"), 1e-30)
+    step = 0.95 / max(matrix_norm(k, "spectral"), 1e-30)
+    p_tol = config.tol * min(1.0, problem.lam) if problem.variant == "bpdn" else config.tol
     kt = k.T
-    z = np.zeros(k.shape[1])
-    u = np.zeros(k.shape[0])
+    omega = 1.0
+    tau = sigma = step
+    z0 = z = np.zeros(k.shape[1])
+    u0 = u = np.zeros(k.shape[0])
     kz = k @ z
     ktu = kt @ u
-    z_bar_k = kz.copy()
+    z_new, u_new = z, u
     p_res = d_res = math.inf
-    iters = 0
+    iters = j = 0
     for iters in range(1, config.max_iters + 1):
-        u_new = prox_dual(u + sigma * z_bar_k, sigma)
-        ktu_new = kt @ u_new
-        z_new = prox_primal(z - tau * ktu_new, tau)
+        z_new = prox_primal(z - tau * ktu, tau)
         kz_new = k @ z_new
-        r = (z - z_new) / tau - (ktu - ktu_new)
+        dz = z - z_new
+        dkz = kz - kz_new
+        u_new = prox_dual(u + sigma * (kz_new - dkz), sigma)
+        ktu_new = kt @ u_new
+        du = u - u_new
+        r = dz / tau - (ktu - ktu_new)
         p_res = math.sqrt(r @ r)
-        r = (u - u_new) / sigma - (kz - kz_new)
+        r = du / sigma - dkz
         d_res = math.sqrt(r @ r)
-        z_bar_k = 2.0 * kz_new - kz
-        z, u, kz, ktu = z_new, u_new, kz_new, ktu_new
-        if max(p_res, d_res) <= config.tol:
+        if p_res <= p_tol and d_res <= config.tol:
             break
-    converged = max(p_res, d_res) <= config.tol
-    return z, u, p_res, d_res, iters, converged
+        fixed = math.sqrt(omega * (dz @ dz) + (du @ du) / omega)
+        if j == 0:
+            fixed0 = fixed
+        elif (
+            fixed <= _RESTART_SUFFICIENT * fixed0
+            or (fixed <= _RESTART_NECESSARY * fixed0 and fixed > fixed_prev)
+            or j >= _RESTART_ARTIFICIAL * iters
+        ):
+            dz, du = z_new - z0, u_new - u0
+            moved_z, moved_u = math.sqrt(dz @ dz), math.sqrt(du @ du)
+            if moved_z > _MOVEMENT_FLOOR and moved_u > _MOVEMENT_FLOOR:
+                omega = math.sqrt(omega * moved_u / moved_z)
+                tau, sigma = step / omega, step * omega
+            z0 = z = z_new
+            u0 = u = u_new
+            kz, ktu = kz_new, ktu_new
+            j = 0
+            continue
+        fixed_prev = fixed
+        anchor = 1.0 / (j + 2)
+        z = z_new - dz  # the reflection 2 T(w) - w, then the pull towards w0
+        z += anchor * (z0 - z)
+        u = u_new - du
+        u += anchor * (u0 - u)
+        kz = k @ z
+        ktu = kt @ u
+        j += 1
+    converged = p_res <= p_tol and d_res <= config.tol
+    return z_new, u_new, p_res, d_res, iters, converged
 
 
 def _uniqueness(problem: ProblemSpec, z: np.ndarray, u: np.ndarray, tol: float) -> str:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from homogenlab.cli import run
+import homogenlab
+from homogenlab.cli import build_parser, run
 from homogenlab.experiments import read_matrix_csv, write_matrix_csv
 from homogenlab.network import (
     ActivationSpec,
@@ -258,3 +264,44 @@ class TestReportsAndDeterminism:
             cells = line.split(",")
             assert float(cells[1]) >= bound - 1e-9
             assert cells[4] == "1"
+
+
+class TestParserReuse:
+    def test_consecutive_runs_match_fresh_processes(self, tmp_path, capsys):
+        a_path = tmp_path / "a.csv"
+        write_matrix_csv(a_path, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.5]]), "test", {})
+        solve = ["solve", "--in", str(a_path), "--y", "-1,0.4"]
+        calls = [
+            solve + ["--variant", "bpdn", "--lam", "0.1"],
+            solve + ["--variant", "qcbp", "--eta", "0.05"],
+            solve + ["--variant", "nope", "--eta", "0.05"],
+            solve + ["--variant", "dantzig", "--eta", "0.05"],
+        ]
+
+        def outcomes(kind, invoke):
+            rows = []
+            for k, argv in enumerate(calls):
+                out = tmp_path / kind / f"{k}.csv"
+                out.parent.mkdir(exist_ok=True)
+                rows.append(invoke(argv + ["--out", str(out)]) + (out.exists() and out.read_text(),))
+            return rows
+
+        def in_process(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        env = dict(os.environ, PYTHONPATH=str(Path(homogenlab.__file__).parents[1]))
+
+        def fresh_process(argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "homogenlab.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        reused = outcomes("in_process", in_process)
+        assert [row[0] for row in reused] == [0, 0, 1, 0]
+        assert " lam= " in reused[1][3].splitlines()[0]
+        assert reused == outcomes("fresh", fresh_process)
+        assert build_parser() is build_parser()

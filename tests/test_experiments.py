@@ -14,28 +14,11 @@ from homogenlab.experiments import (
     render_csv,
     sparse_signal_sampler,
     sparse_tail_l1,
-    worker_count,
 )
 from homogenlab.homogenize import FitConfig
 
 
 class TestHelpers:
-    def test_worker_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("HOMOGENLAB_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_worker_count_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("HOMOGENLAB_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("HOMOGENLAB_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_worker_count_default_positive(self, monkeypatch):
-        monkeypatch.delenv("HOMOGENLAB_THREADS", raising=False)
-        assert worker_count() >= 1
-
     def test_format_cell_seventeen_digits(self):
         assert format_cell(1.0 / 3.0) == "0.33333333333333331"
         assert format_cell(7) == "7"

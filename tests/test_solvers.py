@@ -5,6 +5,7 @@ import pytest
 
 from conftest import low_coherence_matrix
 from homogenlab import solvers
+from homogenlab.experiments import gaussian_matrix
 from homogenlab.numerics import matrix_norm, soft_threshold
 from homogenlab.solvers import (
     SolveConfig,
@@ -24,6 +25,20 @@ from homogenlab.solvers import (
     solve,
     verify_optimality,
 )
+
+
+def quality_set():
+    """10 seeded Gaussian 6x8 instances x 4 variants: 2-sparse signals, noise
+    of norm 0.01, eta cycling through 1e-1, 1e-2, 1e-3, lam 0.05, tau ||x||_1."""
+    for seed in range(10):
+        rng = np.random.default_rng([seed, 40])
+        a = gaussian_matrix(rng, 6, 8)
+        x = np.zeros(8)
+        x[rng.choice(8, size=2, replace=False)] = rng.standard_normal(2)
+        e = rng.standard_normal(6)
+        y = a @ x + 0.01 * e / np.linalg.norm(e)
+        eta = (1e-1, 1e-2, 1e-3)[seed % 3]
+        yield from (qcbp(a, y, eta), bpdn(a, y, 0.05), lasso(a, y, np.abs(x).sum()), dantzig(a, y, eta))
 
 
 class TestProblemSpec:
@@ -110,6 +125,39 @@ class TestSolveClosedForms:
         assert not report.converged
         assert report.iterations == 2
         assert report.uniqueness == "undetermined"
+
+
+class TestConvergence:
+    def test_quality_set_converges_and_verifies(self):
+        for problem in quality_set():
+            report = solve(problem, SolveConfig(max_iters=20_000))
+            assert report.converged, problem.variant
+            violations = verify_optimality(problem, report.solution, report.dual, 1e-7)
+            assert not violations, (problem.variant, violations)
+
+    def test_bpdn_dual_meets_its_bound_at_small_lambda(self):
+        # ||A^T u||_inf may exceed lam by the primal residual; at lam = 0.05 the
+        # verifier allows 5e-9, below the 1e-8 tolerance of the other variants
+        for seed in range(10, 30):
+            rng = np.random.default_rng([seed, 40])
+            a = gaussian_matrix(rng, 6, 8)
+            problem = bpdn(a, a[:, :2] @ rng.standard_normal(2) + 0.01 * rng.standard_normal(6), 0.05)
+            report = solve(problem)
+            assert report.converged
+            assert np.abs(a.T @ report.dual).max() <= 0.05 * (1.0 + 1e-7)
+            assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
+
+    def test_badly_scaled_qcbp_converges(self):
+        # A and y in units 1e3 larger: the primal stays of order 1 while the
+        # dual shrinks to order 1e-3, the imbalance the primal weight absorbs
+        rng = np.random.default_rng([2, 7])
+        a = 1e3 * gaussian_matrix(rng, 6, 8)
+        x = np.zeros(8)
+        x[[1, 5]] = [1.0, -0.5]
+        problem = qcbp(a, a @ x + 1e3 * 0.01 * np.eye(6)[0], 1e3 * 0.01)
+        report = solve(problem, SolveConfig(max_iters=20_000))
+        assert report.converged
+        assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
 
 
 class TestUniqueness:
