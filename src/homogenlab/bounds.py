@@ -12,15 +12,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, extreme_eigenvalues, rank_truncate, singular_values
+from .numerics import as_matrix, as_vector, rank_truncate, singular_values
 
 CONDITIONING_NORMS = ("l1", "l2", "nuclear")
 
 DEFAULT_SUPPORT_CAP = 200_000
+
+#: Supports per stacked linear-algebra call; bounds the memory of one chunk.
+SUPPORT_CHUNK = 512
 
 #: Direction columns must be unit l2 within this tolerance.
 DIRECTION_TOL = 1e-12
@@ -127,10 +130,22 @@ def uat_negative_bound(n: int) -> float:
     return math.sqrt(n / 8.0)
 
 
+def support_chunks(n: int, t: int) -> Iterator[np.ndarray]:
+    """Every size-``t`` subset of ``range(n)`` in lexicographic order, as
+    consecutive (at most ``SUPPORT_CHUNK``, t) arrays of column indices."""
+    combos = itertools.combinations(range(n), t)
+    while True:
+        chunk = np.fromiter(itertools.islice(combos, SUPPORT_CHUNK), dtype=(np.intp, (t,)))
+        if not len(chunk):
+            return
+        yield chunk
+
+
 def rip_exhaustive(a, t: int, cap: int = DEFAULT_SUPPORT_CAP) -> RipReport:
     """Exact order-``t`` restricted-isometry constants by enumerating every
     size-``t`` support (lexicographic) and taking extreme eigenvalues of the
-    support Gram matrices. Rejected when C(n, t) exceeds ``cap``."""
+    support Gram matrices, one stacked ``eigvalsh`` per chunk of supports.
+    Rejected when C(n, t) exceeds ``cap``."""
     a = as_matrix(a, "measurement matrix")
     n = a.shape[1]
     if not 1 <= t <= n:
@@ -138,13 +153,14 @@ def rip_exhaustive(a, t: int, cap: int = DEFAULT_SUPPORT_CAP) -> RipReport:
     count = math.comb(n, t)
     if count > cap:
         raise ValueError(f"support enumeration needs {count} supports, cap is {cap}")
+    rows = a.T
     worst_lb = 0.0
     worst_ub = 0.0
-    for support in itertools.combinations(range(n), t):
-        cols = a[:, support]
-        lo, hi = extreme_eigenvalues(cols.T @ cols)
-        worst_lb = max(worst_lb, 1.0 - lo)
-        worst_ub = max(worst_ub, hi - 1.0)
+    for supports in support_chunks(n, t):
+        cols = rows[supports]  # (chunk, t, m): the transposed support columns
+        eig = np.linalg.eigvalsh(cols @ cols.transpose(0, 2, 1))
+        worst_lb = max(worst_lb, float(np.max(1.0 - eig[:, 0])))
+        worst_ub = max(worst_ub, float(np.max(eig[:, -1] - 1.0)))
     return RipReport(
         order=t,
         delta=max(worst_lb, worst_ub),

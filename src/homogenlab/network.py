@@ -23,6 +23,9 @@ NAMED_ACTIVATIONS = ("tanh", "softplus")
 
 DEFAULT_PROBE_SCALES = (0.5, 1.0, 2.0, 10.0, 100.0)
 
+#: Points per batched call of the probed map; bounds the memory of one block.
+PROBE_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class ActivationSpec:
@@ -67,6 +70,9 @@ class ActivationSpec:
 
     def apply(self, x):
         x = np.asarray(x, dtype=np.float64)
+        if self.is_plain_relu:
+            # + 0.0 turns any -0.0 into +0.0, as the two-sided formula does
+            return np.maximum(x, 0.0) + 0.0
         if self.kind == "relu_family":
             return self.alpha * np.maximum(x, 0.0) + self.beta * np.maximum(-x, 0.0)
         if self.kind == "tanh":
@@ -157,7 +163,15 @@ def unbiased_relu_net(weight_list: Sequence) -> NetworkSpec:
 
 
 def evaluate(net: NetworkSpec, x) -> np.ndarray:
-    """Forward pass: activation on hidden layers, final layer affine."""
+    """Forward pass: activation on hidden layers, final layer affine.
+
+    A vector of length ``input_dim`` maps to a vector of length
+    ``output_dim``; an (N, input_dim) batch maps to (N, output_dim), one row
+    per input row.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:
+        return _evaluate_batch(net, as_matrix(x, "input batch"))
     h = as_vector(x, "input")
     if h.size != net.input_dim:
         raise ValueError(f"input length {h.size} does not match network input {net.input_dim}")
@@ -170,6 +184,23 @@ def evaluate(net: NetworkSpec, x) -> np.ndarray:
     out = last.weights @ h
     if last.bias is not None:
         out = out + last.bias
+    return out
+
+
+def _evaluate_batch(net: NetworkSpec, h: np.ndarray) -> np.ndarray:
+    if h.shape[1] != net.input_dim:
+        raise ValueError(
+            f"input batch shape {h.shape} does not match network input {net.input_dim}"
+        )
+    for layer in net.layers[:-1]:
+        pre = h @ layer.weights.T
+        if layer.bias is not None:
+            pre += layer.bias
+        h = net.activation.apply(pre)
+    last = net.layers[-1]
+    out = h @ last.weights.T
+    if last.bias is not None:
+        out += last.bias
     return out
 
 
@@ -216,33 +247,52 @@ def check_positive_homogeneity(
 ) -> HomogeneityReport:
     """Probe ``f`` on seeded standard-normal points and positive scales.
 
+    ``f`` is called on batches: it maps an (N, dim) array to N output rows,
+    as an (N, p) array or, for scalar outputs, an (N,) array. Networks
+    qualify. Any other output shape raises ``ValueError``. Points go in
+    blocks of ``PROBE_CHUNK``, each block once unscaled and once per scale.
+
     The defect is normalized by ``lam * (1 + ||x||_2)`` so it stays defined at
-    the origin and is comparable across scales.
+    the origin and is comparable across scales. The worst (point, scale) is
+    the first maximum in point-major order. A non-finite defect (an output
+    that overflows or is NaN) counts as infinite, so the probe fails there.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(probe.seed)
     points = rng.standard_normal((probe.num_points, dim))
     max_defect = -1.0
-    worst_point = points[0]
-    worst_scale = probe.scales[0]
-    for x in points:
-        base = np.atleast_1d(np.asarray(f(x), dtype=np.float64))
-        nx = float(np.linalg.norm(x))
-        for lam in probe.scales:
-            scaled = np.atleast_1d(np.asarray(f(lam * x), dtype=np.float64))
-            defect = float(np.linalg.norm(scaled - lam * base)) / (lam * (1.0 + nx))
-            if defect > max_defect:
-                max_defect = defect
-                worst_point = x
-                worst_scale = lam
+    worst = (0, 0)
+    for start in range(0, probe.num_points, PROBE_CHUNK):
+        block = points[start : start + PROBE_CHUNK]
+        base = _probe_rows(f, block)
+        nx = np.linalg.norm(block, axis=1)
+        defects = np.empty((len(block), len(probe.scales)))
+        for j, lam in enumerate(probe.scales):
+            gap = _probe_rows(f, lam * block) - lam * base
+            defects[:, j] = np.linalg.norm(gap, axis=1) / (lam * (1.0 + nx))
+        defects[~np.isfinite(defects)] = np.inf
+        i, j = np.unravel_index(np.argmax(defects), defects.shape)
+        if defects[i, j] > max_defect:
+            max_defect = float(defects[i, j])
+            worst = (start + int(i), int(j))
     return HomogeneityReport(
         max_defect=max_defect,
-        worst_point=np.array(worst_point),
-        worst_scale=worst_scale,
+        worst_point=points[worst[0]].copy(),
+        worst_scale=probe.scales[worst[1]],
         samples=probe.num_points * len(probe.scales),
         tolerance=probe.tolerance,
     )
+
+
+def _probe_rows(f: Callable[[np.ndarray], np.ndarray], block: np.ndarray) -> np.ndarray:
+    out = np.asarray(f(block), dtype=np.float64)
+    if out.ndim not in (1, 2) or out.shape[0] != len(block):
+        raise ValueError(
+            f"probed map returned shape {out.shape} for an input batch of shape "
+            f"{block.shape}; expected {len(block)} output rows"
+        )
+    return out.reshape(len(block), -1)
 
 
 def convert_relu_to_activation(net: NetworkSpec, alpha: float, beta: float) -> NetworkSpec:

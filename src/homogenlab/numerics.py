@@ -76,15 +76,6 @@ def numerical_rank(m) -> int:
     return int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
 
 
-def extreme_eigenvalues(g) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a symmetric matrix."""
-    g = as_matrix(g)
-    if g.shape[0] != g.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    w = np.linalg.eigvalsh(g)
-    return float(w[0]), float(w[-1])
-
-
 def soft_threshold(t, z: float):
     """Shrink ``t`` towards zero by ``z``: sign(t) * max(|t| - z, 0).
 

@@ -26,14 +26,13 @@ its bound off the support (qcbp, bpdn) mean it is unique.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import DEFAULT_SUPPORT_CAP
+from .bounds import DEFAULT_SUPPORT_CAP, support_chunks
 from .numerics import (
     RANK_TOLERANCE,
     as_matrix,
@@ -47,6 +46,11 @@ from .numerics import (
 )
 
 VARIANTS = ("qcbp", "bpdn", "lasso", "dantzig")
+
+#: ``brute_force_sparse_fit`` refits exactly every support whose screened
+#: residual lies within this multiple of (||y|| + smallest screened residual)
+#: of the smallest.
+SCREEN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -402,7 +406,16 @@ def brute_force_sparse_fit(
 
     Returns (support, coefficients on that support, residual l2 norm) for the
     global minimizer, ties broken by the lexicographically smallest support —
-    so the answer does not depend on enumeration order.
+    so the answer does not depend on enumeration order. Rejected when the
+    number of supports, sum of C(n, k) for k = 1..s, exceeds ``cap``.
+
+    Every support is first screened by its pseudo-inverse residual, one
+    stacked ``pinv`` per chunk of supports. Only the supports whose screened
+    residual is within ``SCREEN_RTOL * (||y|| + r_min)`` of the smallest,
+    r_min, are refit exactly with ``lstsq``, and the winner is chosen among
+    those refits alone: when s >= m every full-rank support fits y to within
+    rounding, so the screened residuals cannot rank them. For y = 0 every
+    support ties and is refit, so the screen only adds to the cost.
     """
     a = as_matrix(a, "measurement matrix")
     y = as_vector(y, "measurement")
@@ -411,14 +424,27 @@ def brute_force_sparse_fit(
     n = a.shape[1]
     if not 0 <= s <= n:
         raise ValueError(f"sparsity {s} out of range [0, {n}]")
-    count = math.comb(n, s)
+    count = sum(math.comb(n, size) for size in range(1, s + 1))
     if count > cap:
         raise ValueError(f"support enumeration needs {count} supports, cap is {cap}")
+
+    def chunks():
+        return (c for size in range(1, s + 1) for c in support_chunks(n, size))
+
+    rows = a.T
+    screened = []
+    for supports in chunks():
+        cols = rows[supports].transpose(0, 2, 1)  # (chunk, m, size)
+        fit = cols @ (np.linalg.pinv(cols) @ y)[:, :, None]
+        screened.append(np.linalg.norm(fit[:, :, 0] - y, axis=1))
     best_support: tuple[int, ...] = ()
     best_coeffs = np.zeros(0)
     best_res = float(np.linalg.norm(y))
-    for size in range(1, s + 1):
-        for support in itertools.combinations(range(n), size):
+    r_min = min((float(r.min()) for r in screened), default=best_res)
+    keep = r_min + SCREEN_RTOL * (best_res + r_min)
+    for supports, residuals in zip(chunks(), screened):
+        for row in supports[residuals <= keep]:
+            support = tuple(row.tolist())
             cols = a[:, support]
             coeffs, _, _, _ = np.linalg.lstsq(cols, y, rcond=None)
             res = float(np.linalg.norm(cols @ coeffs - y))

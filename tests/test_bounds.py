@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from homogenlab.bounds import (
+    SUPPORT_CHUNK,
     ConditioningReport,
     DirectionSet,
     eckart_young_gap,
@@ -9,6 +12,7 @@ from homogenlab.bounds import (
     lowrank_rip_sample,
     one_layer_lower_bound,
     rip_exhaustive,
+    support_chunks,
     uat_negative_bound,
     uat_negative_matrix,
 )
@@ -89,7 +93,51 @@ class TestUatNegative:
             uat_negative_bound(0)
 
 
+def rip_loop_reference(a, t):
+    """Per-support loop: one Gram matrix and one eigvalsh per support."""
+    worst_lb = worst_ub = 0.0
+    for support in itertools.combinations(range(a.shape[1]), t):
+        cols = a[:, support]
+        w = np.linalg.eigvalsh(cols.T @ cols)
+        worst_lb = max(worst_lb, 1.0 - float(w[0]))
+        worst_ub = max(worst_ub, float(w[-1]) - 1.0)
+    return max(worst_lb, worst_ub), worst_lb, worst_ub
+
+
+class TestSupportChunks:
+    def test_lexicographic_in_bounded_chunks(self):
+        chunks = list(support_chunks(16, 4))
+        assert all(1 <= len(c) <= SUPPORT_CHUNK for c in chunks)
+        assert len(chunks) > 1
+        flat = [tuple(row) for c in chunks for row in c.tolist()]
+        assert flat == list(itertools.combinations(range(16), 4))
+
+    def test_single_and_full_size(self):
+        assert [c.tolist() for c in support_chunks(3, 1)] == [[[0], [1], [2]]]
+        assert [c.tolist() for c in support_chunks(3, 3)] == [[[0, 1, 2]]]
+
+
 class TestRipExhaustive:
+    def _assert_matches_loop(self, a, t):
+        report = rip_exhaustive(a, t)
+        assert (report.delta, report.delta_lb, report.delta_ub) == rip_loop_reference(a, t)
+
+    def test_matches_per_support_loop_bitwise(self, rng):
+        for m, n, t in ((3, 5, 2), (6, 8, 3), (4, 9, 4), (7, 7, 1), (2, 6, 3)):
+            self._assert_matches_loop(rng.standard_normal((m, n)) / np.sqrt(m), t)
+
+    def test_duplicated_column_matches_loop_bitwise(self, rng):
+        a = rng.standard_normal((5, 8)) / np.sqrt(5)
+        a[:, 6] = a[:, 2]
+        self._assert_matches_loop(a, 3)
+        # the pair (2, 6) has a singular Gram matrix
+        assert rip_exhaustive(a, 2).delta_lb == pytest.approx(1.0, abs=1e-12)
+
+    def test_several_chunks_match_loop_bitwise(self, rng):
+        a = rng.standard_normal((15, 16)) / np.sqrt(15)
+        assert rip_exhaustive(a, 4).supports_checked == 1820 > SUPPORT_CHUNK
+        self._assert_matches_loop(a, 4)
+
     def test_orthonormal_columns_give_zero(self):
         report = rip_exhaustive(np.eye(4), 2)
         assert report.delta == 0.0

@@ -100,6 +100,17 @@ class TestNetworkPipeline:
         assert defect <= 1e-12
         assert "passed=true" in out
 
+    def test_probe_of_overflowing_net_fails(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        save_net(path, unbiased_relu_net([np.full((3, 2), 1e200), np.full((1, 3), 1e200)]))
+        out = tmp_path / "probe.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["probe-homogeneity", "--in", str(path), "--seed", "1", "--out", str(out)]) == 0
+        assert "max_defect=inf" in capsys.readouterr().out
+        row = [line for line in out.read_text().splitlines() if not line.startswith("#")][1]
+        assert row.split(",")[0] == "inf"
+        assert row.split(",")[-1] == "0"
+
     def test_convert_preserves_values(self, tmp_path, rng):
         net = unbiased_relu_net([rng.standard_normal((5, 3)), rng.standard_normal((2, 5))])
         src = tmp_path / "net.json"

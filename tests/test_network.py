@@ -3,6 +3,7 @@ import pytest
 
 from conftest import forward_pass_oracle
 from homogenlab.network import (
+    PROBE_CHUNK,
     ActivationSpec,
     LayerSpec,
     NetworkSpec,
@@ -20,6 +21,63 @@ from homogenlab.network import (
 
 def random_unbiased_net(rng, dims):
     return unbiased_relu_net([rng.standard_normal((dims[i + 1], dims[i])) for i in range(len(dims) - 1)])
+
+
+def pointwise_reference(net, x):
+    """One point at a time, ``W @ h`` products and the two-sided relu-family
+    formula: the forward pass whose bits the 1-D path keeps."""
+    h = np.asarray(x, dtype=np.float64)
+    act = net.activation
+    for layer in net.layers[:-1]:
+        pre = layer.weights @ h
+        if layer.bias is not None:
+            pre = pre + layer.bias
+        if act.is_relu_family:
+            h = act.alpha * np.maximum(pre, 0.0) + act.beta * np.maximum(-pre, 0.0)
+        else:
+            h = act.apply(pre)
+    out = net.layers[-1].weights @ h
+    if net.layers[-1].bias is not None:
+        out = out + net.layers[-1].bias
+    return out
+
+
+def probe_loop_reference(f, dim, probe):
+    """Point-by-point probe: (max defect, worst point, worst scale), first
+    strict maximum in point-major order."""
+    points = np.random.default_rng(probe.seed).standard_normal((probe.num_points, dim))
+    best = (-1.0, points[0], probe.scales[0])
+    for x in points:
+        base = np.atleast_1d(f(x))
+        for lam in probe.scales:
+            gap = np.atleast_1d(f(lam * x)) - lam * base
+            defect = float(np.linalg.norm(gap)) / (lam * (1.0 + float(np.linalg.norm(x))))
+            if defect > best[0]:
+                best = (defect, x, lam)
+    return best
+
+
+def mixed_nets(rng):
+    """Biased and unbiased nets over relu, a relu-family member, tanh and softplus."""
+    acts = (
+        ActivationSpec.relu(),
+        ActivationSpec.relu_family(0.7, -0.3),
+        ActivationSpec.named("tanh"),
+        ActivationSpec.named("softplus"),
+    )
+    nets = []
+    for k, act in enumerate(acts):
+        dims = [4, 9, 7, 3]
+        biased = k % 2 == 0
+        layers = tuple(
+            LayerSpec(
+                rng.standard_normal((dims[i + 1], dims[i])),
+                rng.standard_normal(dims[i + 1]) if biased else None,
+            )
+            for i in range(3)
+        )
+        nets.append(NetworkSpec(layers, act, unbiased=not biased))
+    return nets
 
 
 class TestEvaluate:
@@ -51,6 +109,31 @@ class TestEvaluate:
         net = random_unbiased_net(rng, [3, 4, 2])
         with pytest.raises(ValueError):
             evaluate(net, np.ones(5))
+
+    def test_vector_path_bits_unchanged(self, rng):
+        for net in mixed_nets(rng):
+            points = rng.standard_normal((200, 4))
+            points[::10] = 0.0
+            for x in points:
+                assert evaluate(net, x).tobytes() == pointwise_reference(net, x).tobytes()
+
+    def test_relu_gives_positive_zero(self):
+        out = ActivationSpec.relu().apply(np.array([-0.0, 0.0, -2.0, 3.0]))
+        assert out.tobytes() == np.array([0.0, 0.0, 0.0, 3.0]).tobytes()
+
+    def test_batch_matches_rows(self, rng):
+        for net in mixed_nets(rng):
+            for count in (1, 5, 130):
+                batch = rng.standard_normal((count, 4))
+                rows = np.array([evaluate(net, x) for x in batch])
+                got = evaluate(net, batch)
+                assert got.shape == (count, 3)
+                np.testing.assert_allclose(got, rows, rtol=1e-12, atol=1e-12 * np.abs(rows).max())
+
+    def test_batch_of_wrong_width_rejected(self, rng):
+        net = random_unbiased_net(rng, [3, 4, 2])
+        with pytest.raises(ValueError, match=r"\(6, 5\)"):
+            evaluate(net, np.ones((6, 5)))
 
     def test_layer_chain_validated(self):
         with pytest.raises(ValueError):
@@ -98,6 +181,40 @@ class TestHomogeneityProbe:
         r2 = check_positive_homogeneity(net, 2, ProbeConfig(seed=11))
         assert r1.max_defect == r2.max_defect
         assert np.array_equal(r1.worst_point, r2.worst_point)
+
+    def test_worst_point_and_scale_match_loop(self, rng):
+        assert 150 % PROBE_CHUNK != 0
+        for net in mixed_nets(rng):
+            if net.unbiased and net.activation.is_relu_family:
+                continue  # defects are rounding noise, with no well-defined worst point
+            probe = ProbeConfig(seed=4, num_points=150, scales=(0.5, 2.0, 10.0))
+            report = check_positive_homogeneity(net, 4, probe)
+            defect, point, scale = probe_loop_reference(net, 4, probe)
+            assert np.array_equal(report.worst_point, point)
+            assert report.worst_scale == scale
+            assert report.max_defect == pytest.approx(defect, rel=1e-12)
+
+    def test_overflowing_net_fails(self):
+        net = unbiased_relu_net([np.full((3, 2), 1e200), np.full((1, 3), 1e200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_positive_homogeneity(net, 2, ProbeConfig(seed=1))
+        assert report.max_defect == np.inf
+        assert not report.passed
+
+    def test_nan_output_fails_at_first_point_and_scale(self):
+        report = check_positive_homogeneity(
+            lambda x: np.full((len(x), 1), np.nan), 2, ProbeConfig(seed=1, scales=(3.0, 1.0))
+        )
+        assert report.max_defect == np.inf
+        assert not report.passed
+        assert report.worst_scale == 3.0
+        assert np.array_equal(report.worst_point, np.random.default_rng(1).standard_normal((64, 2))[0])
+
+    def test_output_rows_must_match_batch(self):
+        with pytest.raises(ValueError, match=r"shape \(1,\)"):
+            check_positive_homogeneity(lambda x: np.array([np.nan]), 2, ProbeConfig(seed=1))
+        with pytest.raises(ValueError, match=r"shape \(2, 64\)"):
+            check_positive_homogeneity(lambda x: x.T, 2, ProbeConfig(seed=1))
 
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError):

@@ -216,7 +216,63 @@ class TestNoiseScaling:
             assert errs[2.0] <= 2.5 * errs[1.0] + 1e-12
 
 
+def brute_force_loop_reference(a, y, s):
+    """Per-support loop: one lstsq per support, (residual, support) order."""
+    best_support, best_coeffs, best_res = (), np.zeros(0), float(np.linalg.norm(y))
+    for size in range(1, s + 1):
+        for support in itertools.combinations(range(a.shape[1]), size):
+            cols = a[:, support]
+            coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
+            res = float(np.linalg.norm(cols @ coeffs - y))
+            if res < best_res or (res == best_res and support < best_support):
+                best_support, best_coeffs, best_res = support, coeffs, res
+    return best_support, best_coeffs, best_res
+
+
 class TestBruteForce:
+    def _assert_matches_loop(self, a, y, s):
+        support, coeffs, residual = brute_force_sparse_fit(a, y, s)
+        want_support, want_coeffs, want_residual = brute_force_loop_reference(a, y, s)
+        assert support == want_support
+        assert all(type(i) is int for i in support)
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+        assert residual == want_residual
+
+    def test_matches_lstsq_loop_bitwise(self, rng):
+        for m, n, s in ((5, 8, 2), (6, 9, 3), (8, 10, 1)):
+            a = rng.standard_normal((m, n))
+            self._assert_matches_loop(a, rng.standard_normal(m), s)
+            x = np.zeros(n)
+            x[rng.choice(n, size=s, replace=False)] = rng.standard_normal(s)
+            self._assert_matches_loop(a, a @ x, s)
+
+    def test_sparsity_at_least_rows_matches_loop_bitwise(self, rng):
+        # every full-rank support of size >= m fits y to within rounding
+        for m, n, s in ((3, 7, 3), (3, 7, 4), (2, 6, 3)):
+            self._assert_matches_loop(rng.standard_normal((m, n)), rng.standard_normal(m), s)
+
+    def test_duplicated_column_matches_loop_bitwise(self, rng):
+        a = rng.standard_normal((4, 7))
+        a[:, 5] = a[:, 1]
+        self._assert_matches_loop(a, rng.standard_normal(4), 3)
+        self._assert_matches_loop(a, 2.0 * a[:, 1] - a[:, 3], 2)
+
+    def test_zero_measurement_matches_loop_bitwise(self, rng):
+        self._assert_matches_loop(rng.standard_normal((4, 6)), np.zeros(4), 3)
+
+    def test_several_chunks_match_loop_bitwise(self, rng):
+        a = rng.standard_normal((6, 16))
+        # C(16, 3) = 560 supports of size 3 span two chunks
+        self._assert_matches_loop(a, rng.standard_normal(6), 3)
+
+    def test_cap_counts_every_size(self):
+        # 30 + 435 + 4060 = 4525 supports, although C(30, 3) = 4060 fits the cap
+        with pytest.raises(ValueError, match="4525"):
+            brute_force_sparse_fit(np.ones((2, 30)), np.ones(2), 3, cap=4100)
+        # 2^10 - 2 = 1022 supports, although C(10, 9) = 10
+        with pytest.raises(ValueError, match="1022"):
+            brute_force_sparse_fit(np.ones((2, 10)), np.ones(2), 9, cap=100)
+
     def test_exact_one_sparse_data(self, rng):
         a = rng.standard_normal((5, 6))
         y = a @ np.eye(6)[0]
