@@ -27,9 +27,7 @@ from .network import (
 )
 from .homogenize import (
     FitConfig,
-    SphereSampleSet,
     build_inverse_recovery_net,
-    fit_one_hidden_layer,
     homogenize_one_layer,
     mcshane_extend,
     radial_extend_l2,

@@ -18,6 +18,7 @@ import numpy as np
 from .bounds import DirectionSet, one_layer_lower_bound, rip_exhaustive
 from .homogenize import FitConfig, build_inverse_recovery_net, fit_regression
 from .network import NetworkSpec, evaluate
+from .numerics import row_norms
 
 
 def format_cell(value) -> str:
@@ -142,21 +143,25 @@ def sparse_signal_sampler(n: int, s: int, cycle_basis: bool | None = None):
     return sampler
 
 
-def _signed_basis(n: int) -> list[np.ndarray]:
-    out = []
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            x = np.zeros(n)
-            x[j] = sign
-            out.append(x)
+def _signed_basis(n: int) -> np.ndarray:
+    """The signed unit vectors e_0, -e_0, e_1, -e_1, ... as (2n, n) rows."""
+    out = np.zeros((2 * n, n))
+    rows = np.arange(2 * n)
+    out[rows, rows // 2] = np.where(rows % 2 == 0, 1.0, -1.0)
     return out
+
+
+def _errors(net: NetworkSpec, inputs: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """l2 error of net(y) against x for every row pair (y, x), in one batch."""
+    return row_norms(evaluate(net, inputs) - signals)
 
 
 def max_signed_basis_error(net: NetworkSpec, a: np.ndarray) -> float:
     """Largest l2 reconstruction error of net(A x) over the signed unit
     1-sparse vectors (equals the worst relative error for scale-invariant
     nets)."""
-    return max(float(np.linalg.norm(evaluate(net, a @ x) - x)) for x in _signed_basis(a.shape[1]))
+    x = _signed_basis(a.shape[1])
+    return float(np.max(_errors(net, x @ a.T, x)))
 
 
 IMPOSSIBILITY_HEADER = ("width", "max_rel_error", "lower_bound", "train_mse", "fit_ok")
@@ -180,8 +185,7 @@ def impossibility_experiment(
         raise ValueError("widths must be at least 1")
     a = gaussian_matrix(np.random.default_rng([fit.seed, 0]), m, n)
     bound = one_layer_lower_bound(m, DirectionSet.identity(n))
-    signals = _signed_basis(n)
-    targets = np.array(signals)
+    targets = _signed_basis(n)
     inputs = targets @ a.T
 
     def run(item):
@@ -200,11 +204,11 @@ def impossibility_experiment(
 RECOVERY_HEADER = ("case", "index", "norm_x", "sparse_tail_l1", "norm_e", "error")
 
 
-def sparse_tail_l1(x: np.ndarray, s: int) -> float:
+def sparse_tail_l1(x: np.ndarray, s: int) -> float | np.ndarray:
     """l1 distance of x to the set of s-sparse vectors (sum of all but the s
-    largest magnitudes)."""
-    mags = np.sort(np.abs(x))[::-1]
-    return float(mags[s:].sum())
+    largest magnitudes); one value per row for a 2-D x."""
+    mags = np.sort(np.abs(x), axis=-1)[..., ::-1]
+    return mags[..., s:].sum(axis=-1)
 
 
 def recovery_experiment(
@@ -228,8 +232,8 @@ def recovery_experiment(
     Returns (matrix, net, rip report, rows).
     """
     levels = [float(v) for v in noise_levels]
-    if any(v <= 0 for v in levels):
-        raise ValueError("noise levels must be strictly positive")
+    if not all(0 < v < math.inf for v in levels):
+        raise ValueError("noise levels must be positive finite numbers")
     if trials < 1:
         raise ValueError("need at least one trial per noise level")
     a = gaussian_matrix(np.random.default_rng([fit.seed, 0]), m, n)
@@ -249,36 +253,26 @@ def recovery_experiment(
         curves=curves,
     )
 
-    rows = []
-    zero_err = float(np.linalg.norm(evaluate(net, np.zeros(m))))
-    rows.append(("zero", 0, 0.0, 0.0, 0.0, zero_err))
-    exact_cases = _signed_basis(n) if s == 1 else []
-    if s != 1:
-        rng_cases = np.random.default_rng([fit.seed, 7])
+    rows = [("zero", 0, 0.0, 0.0, 0.0, float(np.linalg.norm(evaluate(net, np.zeros(m)))))]
+    if s == 1:
+        exact = _signed_basis(n)
+    else:
         sampler = sparse_signal_sampler(n, s)
-        exact_cases = [sampler(rng_cases) for _ in range(2 * n)]
-    for idx, x in enumerate(exact_cases):
-        err = float(np.linalg.norm(evaluate(net, a @ x) - x))
-        rows.append(("exact", idx, float(np.linalg.norm(x)), sparse_tail_l1(x, s), 0.0, err))
-
+        rng_cases = np.random.default_rng([fit.seed, 7])
+        exact = np.array([sampler(rng_cases) for _ in range(2 * n)])
+    # Row i of the approx and noisy blocks perturbs exact case i mod 2n.
     rng = np.random.default_rng([fit.seed, 8])
-    for idx in range(trials):
-        x = exact_cases[idx % len(exact_cases)] + 0.1 * rng.standard_normal(n)
-        err = float(np.linalg.norm(evaluate(net, a @ x) - x))
-        rows.append(
-            ("approx", idx, float(np.linalg.norm(x)), sparse_tail_l1(x, s), 0.0, err)
-        )
-
-    rng_noise = np.random.default_rng([fit.seed, 9])
-    idx = 0
-    for level in levels:
-        for _ in range(trials):
-            x = exact_cases[idx % len(exact_cases)]
-            direction = rng_noise.standard_normal(m)
-            e = direction * (level / float(np.linalg.norm(direction)))
-            err = float(np.linalg.norm(evaluate(net, a @ x + e) - x))
-            rows.append(
-                ("noisy", idx, float(np.linalg.norm(x)), sparse_tail_l1(x, s), level, err)
-            )
-            idx += 1
+    approx = exact[np.arange(trials) % len(exact)] + 0.1 * rng.standard_normal((trials, n))
+    noisy = exact[np.arange(len(levels) * trials) % len(exact)]
+    norm_e = np.repeat(levels, trials)
+    e = np.random.default_rng([fit.seed, 9]).standard_normal((norm_e.size, m))
+    e *= (norm_e / row_norms(e))[:, None]
+    blocks = (
+        ("exact", exact, exact @ a.T, np.zeros(len(exact))),
+        ("approx", approx, approx @ a.T, np.zeros(trials)),
+        ("noisy", noisy, noisy @ a.T + e, norm_e),
+    )
+    for case, x, y, level in blocks:
+        cols = (row_norms(x), sparse_tail_l1(x, s), level, _errors(net, y, x))
+        rows += [(case, idx, *map(float, row)) for idx, row in enumerate(zip(*cols))]
     return a, net, rip, rows

@@ -14,61 +14,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .network import ActivationSpec, LayerSpec, NetworkSpec, unbiased_relu_net
 from .numerics import as_matrix, as_vector
-
-SPHERE_NORM_TAGS = ("l1", "l2")
-
-#: Direction norms must sit within this distance of 1 in a SphereSampleSet.
-SPHERE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SphereSampleSet:
-    """Sampled values of a map on the unit sphere of the tagged norm.
-
-    ``directions`` has one unit-norm row per sample; ``values`` holds the
-    corresponding outputs (1-D for scalar targets, else one row per sample).
-    """
-
-    directions: np.ndarray
-    values: np.ndarray
-    norm_tag: str
-
-    def __post_init__(self):
-        d = as_matrix(self.directions, "directions")
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim == 1:
-            v = v[:, None]
-        v = as_matrix(v, "values")
-        if self.norm_tag not in SPHERE_NORM_TAGS:
-            raise ValueError(f"unknown norm tag {self.norm_tag!r}; expected one of {SPHERE_NORM_TAGS}")
-        if d.shape[0] == 0:
-            raise ValueError("sample set must be non-empty")
-        if v.shape[0] != d.shape[0]:
-            raise ValueError(f"{v.shape[0]} values for {d.shape[0]} directions")
-        norms = (
-            np.abs(d).sum(axis=1) if self.norm_tag == "l1" else np.linalg.norm(d, axis=1)
-        )
-        off = np.abs(norms - 1.0)
-        if np.any(off > SPHERE_TOL):
-            worst = int(np.argmax(off))
-            raise ValueError(
-                f"directions[{worst}] has {self.norm_tag} norm {norms[worst]!r}, expected 1"
-            )
-        d.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def count(self) -> int:
-        return self.directions.shape[0]
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -84,14 +35,14 @@ class FitConfig:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be a positive finite number")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.target_mse < 0:
-            raise ValueError("target mse must be non-negative")
+        if not 0 <= self.target_mse < math.inf:
+            raise ValueError("target mse must be a non-negative finite number")
 
 
 def sample_l1_sphere(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -107,10 +58,11 @@ def homogenize_one_layer(g: NetworkSpec) -> NetworkSpec:
     two-hidden-layer relu network f with f(x) = ||x||_1 * g(x / ||x||_1) for
     x != 0 and f(0) = 0.
 
-    Structure: first hidden layer [I; -I] of width 2m; per output coordinate a
-    second hidden block of width k+1 (the k lifted hidden rows plus one row
-    computing ||x||_1), stacked for multiple outputs with the first layer
-    shared.
+    Structure: first hidden layer [I; -I] of width 2m; per output coordinate j
+    a second hidden block holding the lifted hidden units with a nonzero
+    weight in row j of g's output layer, in order, plus one row computing
+    ||x||_1; the output weights of block j are that row's nonzero weights
+    followed by g's output bias j. A dense g gets p blocks of width k+1.
     """
     if g.depth != 1:
         raise ValueError(f"expected exactly one hidden layer, got depth {g.depth}")
@@ -126,17 +78,14 @@ def homogenize_one_layer(g: NetworkSpec) -> NetworkSpec:
     eye = np.eye(m)
     first = np.vstack([eye, -eye])  # (2m, m)
 
-    # Applied to (relu(x); relu(-x)) this block yields (W1 x + ||x||_1 b1; ||x||_1).
-    ones = np.ones((1, m))
-    block = np.vstack(
-        [np.hstack([w1 + b1[:, None] @ ones, -w1 + b1[:, None] @ ones]), np.hstack([ones, ones])]
-    )  # (k + 1, 2m)
-
-    second = np.vstack([block] * p)  # (p (k + 1), 2m)
-    final = np.zeros((p, p * (k + 1)))
-    for j in range(p):
-        final[j, j * (k + 1) : (j + 1) * (k + 1)] = np.concatenate([w2[j], [b2[j]]])
-    return unbiased_relu_net([first, second, final])
+    # Applied to (relu(x); relu(-x)) these rows yield (W1 x + ||x||_1 b1; ||x||_1).
+    rows = np.vstack([np.hstack([w1 + b1[:, None], -w1 + b1[:, None]]), np.ones((1, 2 * m))])
+    out_weights = np.hstack([w2, b2[:, None]])  # (p, k + 1)
+    keep = np.hstack([w2 != 0, np.ones((p, 1), dtype=bool)])
+    out_idx, unit_idx = np.nonzero(keep)  # row-major: block j, norm row last
+    final = np.zeros((p, out_idx.size))
+    final[out_idx, np.arange(out_idx.size)] = out_weights[out_idx, unit_idx]
+    return unbiased_relu_net([first, rows[unit_idx], final])
 
 
 def radial_extend_l2(f_on_sphere: Callable) -> Callable:
@@ -192,11 +141,20 @@ def mcshane_extend(points, values, lipschitz: float) -> Callable:
             f"{lipschitz}: value gap {gaps[i, k]} over distance {dists[i, k]}"
         )
 
+    dim = u.shape[1]
+
     def extended(x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        d = np.linalg.norm(u - x[None, :], axis=1)
-        out = np.min(v + lipschitz * d[:, None], axis=0)
-        return float(out[0]) if scalar_out else out
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1:] != (dim,) or x.ndim > 2:
+            raise ValueError(
+                f"point shape {x.shape} does not match anchors of shape {u.shape}; "
+                f"expected ({dim},) or (N, {dim})"
+            )
+        d = np.linalg.norm(u - x[..., None, :], axis=-1)
+        out = np.min(v + lipschitz * d[..., None], axis=-2)
+        if scalar_out:
+            return out[..., 0] if out.ndim == 2 else float(out[0])
+        return out
 
     return extended
 
@@ -341,34 +299,6 @@ def fit_regression(
     return net, mse
 
 
-def fit_one_hidden_layer(
-    data: SphereSampleSet, config: FitConfig, curve: list | None = None
-) -> tuple[NetworkSpec, float]:
-    """Fit a biased one-hidden-layer relu network to sphere samples; see
-    ``fit_regression`` for the training scheme."""
-    return fit_regression(data.directions, data.values, config, unbiased=False, curve=curve)
-
-
-def _stack_scalar_homogenized(nets: Sequence[NetworkSpec]) -> NetworkSpec:
-    """Merge scalar two-hidden-layer lifted nets that share the [I; -I] first
-    layer into one multi-output net (second layers stacked, final block
-    diagonal)."""
-    first = nets[0].layers[0].weights
-    for net in nets[1:]:
-        if net.layers[0].weights.shape != first.shape or not np.array_equal(
-            net.layers[0].weights, first
-        ):
-            raise ValueError("nets do not share the same first layer")
-    second = np.vstack([net.layers[1].weights for net in nets])
-    widths = [net.layers[1].weights.shape[0] for net in nets]
-    final = np.zeros((len(nets), sum(widths)))
-    offset = 0
-    for j, net in enumerate(nets):
-        final[j, offset : offset + widths[j]] = net.layers[2].weights[0]
-        offset += widths[j]
-    return unbiased_relu_net([first, second, final])
-
-
 def build_inverse_recovery_net(
     a,
     signal_sampler: Callable[[np.random.Generator], np.ndarray],
@@ -385,12 +315,15 @@ def build_inverse_recovery_net(
     (y_i / ||y_i||_1, x_i / ||y_i||_1); densify with the Lipschitz
     inf-extension at extra l1-sphere points (``lipschitz_bound=None`` uses the
     smallest constant consistent with the data, with 5% headroom); fit one
-    hidden layer per output coordinate; lift every fit and stack the results.
+    hidden layer per output coordinate; put the n fits side by side in one
+    net (stacked hidden layers, block-diagonal output weights) and lift it.
     """
     a = as_matrix(a, "measurement matrix")
     m, n = a.shape
     if num_signals < 1:
         raise ValueError("need at least one signal")
+    if densify_points < 0:
+        raise ValueError("densify points must be non-negative")
     rng_signals = np.random.default_rng([fit.seed, 101])
     dirs = []
     vals = []
@@ -422,21 +355,28 @@ def build_inverse_recovery_net(
         )
     extension = mcshane_extend(anchor_dirs, anchor_vals, lipschitz_bound)
 
-    if densify_points > 0:
-        rng_densify = np.random.default_rng([fit.seed, 202])
-        extra = sample_l1_sphere(rng_densify, m, densify_points)
-        extra_vals = np.array([extension(x) for x in extra])
-        train_dirs = np.vstack([dirs, extra])
-        train_vals = np.vstack([vals, extra_vals])
-    else:
-        train_dirs = dirs
-        train_vals = vals
-    data = SphereSampleSet(train_dirs, train_vals, "l1")
+    extra = sample_l1_sphere(np.random.default_rng([fit.seed, 202]), m, densify_points)
+    train_dirs = np.vstack([dirs, extra])
+    train_vals = np.vstack([vals, extension(extra)])
 
-    lifted = []
+    hidden, outs = [], []
     for j in range(n):
         coord_fit = dataclasses.replace(fit, seed=fit.seed * 1_000_003 + j)
         curve = None if curves is None else curves.setdefault(j, [])
-        net_j, _ = fit_regression(data.directions, data.values[:, j], coord_fit, curve=curve)
-        lifted.append(homogenize_one_layer(net_j))
-    return _stack_scalar_homogenized(lifted)
+        net_j, _ = fit_regression(train_dirs, train_vals[:, j], coord_fit, curve=curve)
+        hidden.append(net_j.layers[0])
+        outs.append(net_j.layers[1])
+    # The n scalar fits side by side: stacked hidden layers, block-diagonal output.
+    w2 = np.zeros((n, n * fit.width))
+    w2[np.arange(n).repeat(fit.width), np.arange(n * fit.width)] = np.concatenate(
+        [out.weights[0] for out in outs]
+    )
+    g = NetworkSpec(
+        (
+            LayerSpec(np.vstack([h.weights for h in hidden]), np.concatenate([h.bias for h in hidden])),
+            LayerSpec(w2, np.concatenate([out.bias for out in outs])),
+        ),
+        ActivationSpec.relu(),
+        unbiased=False,
+    )
+    return homogenize_one_layer(g)

@@ -23,7 +23,7 @@ NAMED_ACTIVATIONS = ("tanh", "softplus")
 
 DEFAULT_PROBE_SCALES = (0.5, 1.0, 2.0, 10.0, 100.0)
 
-#: Points per batched call of the probed map; bounds the memory of one block.
+#: Rows per call of a map in ``map_rows``; bounds the memory of one block.
 PROBE_CHUNK = 64
 
 
@@ -220,10 +220,10 @@ class ProbeConfig:
             raise ValueError("probe needs at least one point")
         if not self.scales:
             raise ValueError("probe needs at least one scale")
-        if any(s <= 0 for s in self.scales):
-            raise ValueError("probe scales must be strictly positive")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
+        if not all(0 < s < math.inf for s in self.scales):
+            raise ValueError("probe scales must be positive finite numbers")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be a non-negative finite number")
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,8 @@ def check_positive_homogeneity(
 
     ``f`` is called on batches: it maps an (N, dim) array to N output rows,
     as an (N, p) array or, for scalar outputs, an (N,) array. Networks
-    qualify. Any other output shape raises ``ValueError``. Points go in
-    blocks of ``PROBE_CHUNK``, each block once unscaled and once per scale.
+    qualify. Any other output shape raises ``ValueError``. Points go through
+    ``map_rows``, once unscaled and once per scale.
 
     The defect is normalized by ``lam * (1 + ||x||_2)`` so it stays defined at
     the origin and is comparable across scales. The worst (point, scale) is
@@ -261,38 +261,39 @@ def check_positive_homogeneity(
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(probe.seed)
     points = rng.standard_normal((probe.num_points, dim))
-    max_defect = -1.0
-    worst = (0, 0)
-    for start in range(0, probe.num_points, PROBE_CHUNK):
-        block = points[start : start + PROBE_CHUNK]
-        base = _probe_rows(f, block)
-        nx = np.linalg.norm(block, axis=1)
-        defects = np.empty((len(block), len(probe.scales)))
-        for j, lam in enumerate(probe.scales):
-            gap = _probe_rows(f, lam * block) - lam * base
-            defects[:, j] = np.linalg.norm(gap, axis=1) / (lam * (1.0 + nx))
-        defects[~np.isfinite(defects)] = np.inf
-        i, j = np.unravel_index(np.argmax(defects), defects.shape)
-        if defects[i, j] > max_defect:
-            max_defect = float(defects[i, j])
-            worst = (start + int(i), int(j))
+    base = map_rows(f, points)
+    nx = np.linalg.norm(points, axis=1)
+    defects = np.empty((probe.num_points, len(probe.scales)))
+    for j, lam in enumerate(probe.scales):
+        gap = map_rows(f, lam * points) - lam * base
+        defects[:, j] = np.linalg.norm(gap, axis=1) / (lam * (1.0 + nx))
+    defects[~np.isfinite(defects)] = np.inf
+    i, j = np.unravel_index(np.argmax(defects), defects.shape)
     return HomogeneityReport(
-        max_defect=max_defect,
-        worst_point=points[worst[0]].copy(),
-        worst_scale=probe.scales[worst[1]],
+        max_defect=float(defects[i, j]),
+        worst_point=points[i].copy(),
+        worst_scale=probe.scales[j],
         samples=probe.num_points * len(probe.scales),
         tolerance=probe.tolerance,
     )
 
 
-def _probe_rows(f: Callable[[np.ndarray], np.ndarray], block: np.ndarray) -> np.ndarray:
-    out = np.asarray(f(block), dtype=np.float64)
-    if out.ndim not in (1, 2) or out.shape[0] != len(block):
-        raise ValueError(
-            f"probed map returned shape {out.shape} for an input batch of shape "
-            f"{block.shape}; expected {len(block)} output rows"
-        )
-    return out.reshape(len(block), -1)
+def map_rows(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """``f`` applied to the rows of an (N, d) array, called on blocks of at
+    most ``PROBE_CHUNK`` rows; returns (N, p). Each call must return one
+    output row per input row, as (rows, p) or, for scalars, (rows,); any
+    other shape raises ``ValueError``."""
+    out = []
+    for start in range(0, len(points), PROBE_CHUNK):
+        block = points[start : start + PROBE_CHUNK]
+        rows = np.asarray(f(block), dtype=np.float64)
+        if rows.ndim not in (1, 2) or rows.shape[0] != len(block):
+            raise ValueError(
+                f"map returned shape {rows.shape} for an input batch of shape "
+                f"{block.shape}; expected {len(block)} output rows"
+            )
+        out.append(rows.reshape(len(block), -1))
+    return np.concatenate(out)
 
 
 def convert_relu_to_activation(net: NetworkSpec, alpha: float, beta: float) -> NetworkSpec:

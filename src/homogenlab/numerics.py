@@ -103,6 +103,12 @@ def norm(v, kind: str) -> float:
     raise ValueError(f"unknown vector norm {kind!r}; expected one of {VECTOR_NORMS}")
 
 
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """l2 norm of every row of a 2-D array, bit for bit ``np.linalg.norm`` of
+    that row: each stacked (1, d) @ (d, 1) product runs the same dot kernel."""
+    return np.sqrt((m[:, None, :] @ m[:, :, None]).ravel())
+
+
 def matrix_norm(m, kind: str) -> float:
     m = as_matrix(m)
     if kind == "frobenius":

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import DEFAULT_SUPPORT_CAP, support_chunks
+from .network import map_rows
 from .numerics import (
     RANK_TOLERANCE,
     as_matrix,
@@ -41,6 +42,7 @@ from .numerics import (
     numerical_rank,
     project_l2_ball_unchecked,
     project_linf_ball_unchecked,
+    row_norms,
     soft_threshold,
     soft_threshold_unchecked,
 )
@@ -77,8 +79,8 @@ class ProblemSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.variant in ("qcbp", "dantzig"):
-            if self.eta is None or self.eta < 0:
-                raise ValueError("eta must be non-negative")
+            if self.eta is None or not 0 <= self.eta < math.inf:
+                raise ValueError("eta must be a non-negative finite number")
         if self.variant == "qcbp":
             # Infeasible iff y is farther than eta from range(A); the slack
             # absorbs round-off in the least-squares residual (eta = 0).
@@ -89,10 +91,12 @@ class ProblemSpec:
                 raise ValueError(
                     f"qcbp is infeasible: y lies {gap:.6g} from the range of A, eta is {self.eta:.6g}"
                 )
-        if self.variant == "bpdn" and (self.lam is None or self.lam <= 0):
-            raise ValueError("lambda must be positive")
-        if self.variant == "lasso" and (self.tau_budget is None or self.tau_budget < 0):
-            raise ValueError("tau budget must be non-negative")
+        if self.variant == "bpdn" and (self.lam is None or not 0 < self.lam < math.inf):
+            raise ValueError("lambda must be a positive finite number")
+        if self.variant == "lasso" and (
+            self.tau_budget is None or not 0 <= self.tau_budget < math.inf
+        ):
+            raise ValueError("tau budget must be a non-negative finite number")
         if self.variant == "dantzig" and numerical_rank(a) != a.shape[0]:
             raise ValueError("dantzig requires a matrix of full row rank")
 
@@ -117,6 +121,12 @@ def dantzig(a, y, eta: float) -> ProblemSpec:
 class SolveConfig:
     max_iters: int = 50_000
     tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max iters must be at least 1")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -455,6 +465,13 @@ def brute_force_sparse_fit(
     return best_support, best_coeffs, best_res
 
 
+def _check_shrinkage(lam: float, step_bound: float) -> None:
+    if not 0 < step_bound < math.inf:
+        raise ValueError("step bound L must be a positive finite number")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be a non-negative finite number")
+
+
 def ista_run(a, y, lam: float, step_bound: float, iters: int, x0=None) -> np.ndarray:
     """Iterative shrinkage-thresholding trajectory for
     min lam ||z||_1 + (1/2) ||A z - y||_2^2:
@@ -465,10 +482,7 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int, x0=None) -> np.nda
     """
     a = as_matrix(a, "measurement matrix")
     y = as_vector(y, "measurement")
-    if step_bound <= 0:
-        raise ValueError("step bound L must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    _check_shrinkage(lam, step_bound)
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
     n = a.shape[1]
@@ -524,8 +538,7 @@ def lista_from_ista(a, lam: float, step_bound: float, depth: int) -> Lista:
     """Unroll ``depth`` shrinkage iterations with the matrices the plain
     iteration induces: W1 = I - (1/L) A^T A, W2 = (1/L) A^T."""
     a = as_matrix(a, "measurement matrix")
-    if step_bound <= 0:
-        raise ValueError("step bound L must be positive")
+    _check_shrinkage(lam, step_bound)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     n = a.shape[1]
@@ -586,27 +599,27 @@ def robustness_scan(
 ) -> list[tuple[float, int, float]]:
     """Perturbation-gain table of a reconstruction map: for every noise level
     and trial, draw e uniformly on the sphere of that radius and record
-    ||f(Ax + e) - f(Ax)||_2 / ||e||_2. Deterministic given the seed."""
+    ||f(Ax + e) - f(Ax)||_2 / ||e||_2. Deterministic given the seed.
+
+    ``f`` maps a batch of measurements to one output row each, like the map
+    of ``check_positive_homogeneity``; it is called through ``map_rows``."""
     a = as_matrix(a, "measurement matrix")
     x = as_vector(x, "signal")
     levels = [float(v) for v in noise_levels]
     if not levels:
         raise ValueError("need at least one noise level")
-    if any(v <= 0 for v in levels):
-        raise ValueError("noise levels must be strictly positive")
+    if not all(0 < v < math.inf for v in levels):
+        raise ValueError("noise levels must be positive finite numbers")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     y = a @ x
-    base = np.asarray(f(y), dtype=np.float64)
-    rows = []
-    for level in levels:
-        for trial in range(trials):
-            direction = rng.standard_normal(y.size)
-            e = direction * (level / float(np.linalg.norm(direction)))
-            gain = float(np.linalg.norm(np.asarray(f(y + e), dtype=np.float64) - base))
-            rows.append((level, trial, gain / float(np.linalg.norm(e))))
-    return rows
+    base = map_rows(f, y[None, :])
+    level = np.repeat(levels, trials)
+    e = rng.standard_normal((level.size, y.size))
+    e *= (level / row_norms(e))[:, None]
+    gains = row_norms(map_rows(f, y + e) - base) / row_norms(e)
+    return [(levels[i // trials], i % trials, float(g)) for i, g in enumerate(gains)]
 
 
 def selection_discontinuity_demo(y2: float) -> tuple[float, bool]:

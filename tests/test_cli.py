@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import homogenlab
+from homogenlab import experiments, network, solvers
 from homogenlab.cli import build_parser, run
 from homogenlab.experiments import read_matrix_csv, write_matrix_csv
 from homogenlab.network import (
@@ -68,6 +69,56 @@ class TestExitCodes:
         code = run(["solve", "--variant", "qcbp", "--in", str(a_path), "--y", "1,0,0", "--eta", "0.5"])
         assert code == 1
         assert "infeasible" in capsys.readouterr().err
+
+
+# The rejected number is the last flag of each command line.
+REJECTED_NUMBERS = [
+    ["solve", "--variant", "bpdn", "--in", "{a}", "--y", "1,0", "--lam", "inf"],
+    ["solve", "--variant", "bpdn", "--in", "{a}", "--y", "1,0", "--lam", "nan"],
+    ["solve", "--variant", "qcbp", "--in", "{a}", "--y", "1,0", "--eta", "nan"],
+    ["solve", "--variant", "dantzig", "--in", "{a}", "--y", "1,0", "--eta", "inf"],
+    ["solve", "--variant", "lasso", "--in", "{a}", "--y", "1,0", "--tau", "inf"],
+    ["solve", "--variant", "qcbp", "--in", "{a}", "--y", "1,0", "--eta", "0.1", "--tol", "nan"],
+    ["solve", "--variant", "qcbp", "--in", "{a}", "--y", "1,0", "--eta", "0.1", "--tol", "-1"],
+    ["solve", "--variant", "qcbp", "--in", "{a}", "--y", "1,0", "--eta", "0.1", "--tol", "inf"],
+    ["solve", "--variant", "qcbp", "--in", "{a}", "--y", "1,0", "--eta", "0.1", "--max-iters", "0"],
+    ["impossibility-experiment", "--m", "2", "--n", "4", "--widths", "4", "--seed", "1",
+     "--out", "{out}", "--learning-rate", "nan"],
+    ["impossibility-experiment", "--m", "2", "--n", "4", "--widths", "4", "--seed", "1",
+     "--out", "{out}", "--target-mse", "inf"],
+    ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}",
+     "--learning-rate", "inf"],
+    ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}",
+     "--noise", "0.1,inf"],
+    ["probe-homogeneity", "--in", "{net}", "--seed", "1", "--out", "{out}", "--tolerance", "nan"],
+    ["probe-homogeneity", "--in", "{net}", "--seed", "1", "--out", "{out}", "--scales", "1,inf"],
+    ["robustness", "--net", "{net}", "--in", "{a}", "--x", "1,0,0", "--seed", "1", "--out", "{out}",
+     "--levels", "0.1,nan"],
+    ["ista", "--in", "{a}", "--y", "1,0", "--iters", "2", "--out", "{out}", "--lam", "inf"],
+    ["ista", "--in", "{a}", "--y", "1,0", "--lam", "0.1", "--iters", "2", "--out", "{out}",
+     "--step-bound", "nan"],
+    ["lista", "--in", "{a}", "--y", "1,0", "--depth", "2", "--out", "{out}", "--lam", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_NUMBERS, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_non_finite_or_out_of_range_number_exits_one(tmp_path, monkeypatch, capsys, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran on a rejected number")
+
+    for target in (solvers, experiments, network):
+        for name in ("solve", "fit_regression", "build_inverse_recovery_net", "evaluate"):
+            if hasattr(target, name):
+                monkeypatch.setattr(target, name, must_not_run)
+    a_path, net_path, out = tmp_path / "a.csv", tmp_path / "net.json", tmp_path / "out.csv"
+    write_matrix_csv(a_path, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.5]]), "test", {})
+    save_net(net_path, unbiased_relu_net([np.ones((3, 2)), np.ones((1, 3))]))
+    paths = {"a": str(a_path), "net": str(net_path), "out": str(out)}
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestPrintedValues:

@@ -9,6 +9,7 @@ from homogenlab.experiments import (
     format_cell,
     gaussian_matrix,
     impossibility_experiment,
+    max_signed_basis_error,
     read_matrix_csv,
     recovery_experiment,
     render_csv,
@@ -16,6 +17,7 @@ from homogenlab.experiments import (
     sparse_tail_l1,
 )
 from homogenlab.homogenize import FitConfig
+from homogenlab.network import evaluate, unbiased_relu_net
 
 
 class TestHelpers:
@@ -128,3 +130,65 @@ class TestRecoveryExperiment:
         assert all(np.isfinite(m) for m in mses)
         zero_rows = [r for r in rows if r[0] == "zero"]
         assert len(zero_rows) == 1 and zero_rows[0][5] == 0.0
+
+
+def recovery_rows_reference(net, a, s, seed, levels, trials):
+    """The recovery table one point at a time: one evaluate call per row and
+    one noise draw per trial, from the same seeded generators."""
+    m, n = a.shape
+    rows = [("zero", 0, 0.0, 0.0, 0.0, float(np.linalg.norm(evaluate(net, np.zeros(m)))))]
+
+    def row(case, idx, x, level, y):
+        tail = float(np.sort(np.abs(x))[::-1][s:].sum())
+        err = float(np.linalg.norm(evaluate(net, y) - x))
+        return (case, idx, float(np.linalg.norm(x)), tail, level, err)
+
+    if s == 1:
+        exact = []
+        for j in range(n):
+            for sign in (1.0, -1.0):
+                x = np.zeros(n)
+                x[j] = sign
+                exact.append(x)
+    else:
+        rng_cases = np.random.default_rng([seed, 7])
+        sampler = sparse_signal_sampler(n, s)
+        exact = [sampler(rng_cases) for _ in range(2 * n)]
+    rows += [row("exact", idx, x, 0.0, a @ x) for idx, x in enumerate(exact)]
+    rng = np.random.default_rng([seed, 8])
+    for idx in range(trials):
+        x = exact[idx % len(exact)] + 0.1 * rng.standard_normal(n)
+        rows.append(row("approx", idx, x, 0.0, a @ x))
+    rng_noise = np.random.default_rng([seed, 9])
+    idx = 0
+    for level in levels:
+        for _ in range(trials):
+            x = exact[idx % len(exact)]
+            direction = rng_noise.standard_normal(m)
+            e = direction * (level / float(np.linalg.norm(direction)))
+            rows.append(row("noisy", idx, x, level, a @ x + e))
+            idx += 1
+    return rows
+
+
+class TestBatchedRowsMatchPerPoint:
+    @pytest.mark.parametrize("s, seed", [(1, 552), (2, 31)])
+    def test_recovery_rows(self, s, seed):
+        fit = FitConfig(width=16, learning_rate=0.4, steps=100, restarts=1, seed=seed)
+        levels = [1e-3, 1e-2, 1e-1]
+        a, net, _, rows = recovery_experiment(
+            6, 4, s, fit, levels, trials=15, densify_points=32, rip_threshold=10.0
+        )
+        want = recovery_rows_reference(net, a, s, seed, levels, 15)
+        assert len(rows) == len(want) == 1 + 12 + 15 + 45
+        assert [r[:5] for r in rows] == [w[:5] for w in want]
+        np.testing.assert_allclose([r[5] for r in rows], [w[5] for w in want], rtol=1e-12, atol=0)
+
+    def test_max_signed_basis_error(self, rng):
+        for m, n in ((2, 4), (4, 6), (3, 9)):
+            a = gaussian_matrix(rng, m, n)
+            net = unbiased_relu_net([rng.standard_normal((8, m)), rng.standard_normal((n, 8))])
+            want = 0.0
+            for x in np.vstack([np.eye(n), -np.eye(n)]):
+                want = max(want, float(np.linalg.norm(evaluate(net, a @ x) - x)))
+            assert max_signed_basis_error(net, a) == pytest.approx(want, rel=1e-12, abs=0)

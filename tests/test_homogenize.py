@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from homogenlab import homogenize
+from homogenlab.experiments import gaussian_matrix, sparse_signal_sampler
 from homogenlab.homogenize import (
     FitConfig,
-    SphereSampleSet,
     build_inverse_recovery_net,
-    fit_one_hidden_layer,
     fit_regression,
     homogenize_one_layer,
     mcshane_extend,
@@ -20,6 +22,7 @@ from homogenlab.network import (
     ProbeConfig,
     check_positive_homogeneity,
     evaluate,
+    serialize,
     unbiased_relu_net,
 )
 
@@ -69,6 +72,40 @@ class TestHomogenizeOneLayer:
             l1 = np.abs(x).sum()
             want = l1 * evaluate(g, x / l1)
             assert np.allclose(evaluate(f, x), want, atol=1e-9 * (1 + l1))
+
+    def test_block_diagonal_g_gets_one_block_per_output(self, rng):
+        m, ks = 3, (2, 3, 4)
+        w2 = np.zeros((len(ks), sum(ks)))
+        offsets = np.cumsum((0,) + ks)
+        for j, k in enumerate(ks):
+            w2[j, offsets[j] : offsets[j + 1]] = rng.standard_normal(k)
+        g = NetworkSpec(
+            (
+                LayerSpec(rng.standard_normal((sum(ks), m)), rng.standard_normal(sum(ks))),
+                LayerSpec(w2, rng.standard_normal(len(ks))),
+            ),
+            ActivationSpec.relu(),
+            unbiased=False,
+        )
+        f = homogenize_one_layer(g)
+        assert f.hidden_widths == (2 * m, sum(k + 1 for k in ks))
+        x = rng.standard_normal((200, m))
+        l1 = np.abs(x).sum(axis=1, keepdims=True)
+        want = l1 * evaluate(g, x / l1)
+        np.testing.assert_allclose(evaluate(f, x), want, rtol=0, atol=1e-9 * (1 + l1.max()))
+
+    def test_all_zero_output_row_keeps_only_the_norm_row(self, rng):
+        g = biased_one_layer(rng, 3, 5, p=2)
+        w2 = g.layers[1].weights.copy()
+        w2[1] = 0.0
+        g = NetworkSpec((g.layers[0], LayerSpec(w2, g.layers[1].bias)), g.activation, unbiased=False)
+        f = homogenize_one_layer(g)
+        assert f.hidden_widths == (6, 5 + 1 + 1)
+        x = rng.standard_normal((100, 3))
+        l1 = np.abs(x).sum(axis=1, keepdims=True)
+        want = l1 * evaluate(g, x / l1)
+        np.testing.assert_allclose(evaluate(f, x), want, rtol=0, atol=1e-9 * (1 + l1.max()))
+        np.testing.assert_allclose(evaluate(f, x)[:, 1], l1[:, 0] * g.layers[1].bias[1], rtol=1e-12)
 
     def test_scaling_exact(self, rng):
         g = biased_one_layer(rng, 3, 5)
@@ -168,6 +205,25 @@ class TestMcshaneExtension:
         assert out.shape == (2,)
         assert np.allclose(out, vals[0], atol=1e-12)
 
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_batch_rows_equal_single_points_bitwise(self, rng, outputs):
+        pts = sample_l1_sphere(rng, 4, 12)
+        vals = rng.standard_normal((12, outputs))
+        vals = vals[:, 0] if outputs == 1 else vals
+        f = mcshane_extend(pts, vals, 1.05 * minimal_consistent_lipschitz(pts, vals))
+        queries = sample_l1_sphere(rng, 4, 150)
+        batch = f(queries)
+        single = np.array([f(x) for x in queries])
+        assert batch.shape == single.shape == ((150,) if outputs == 1 else (150, outputs))
+        assert np.array_equal(batch, single)
+
+    def test_point_shape_checked(self, rng):
+        f = mcshane_extend(rng.standard_normal((5, 4)), rng.standard_normal((5, 2)), 50.0)
+        assert f(np.zeros(4)).shape == (2,)
+        for bad in (np.zeros(1), np.zeros(5), np.zeros((3, 2)), np.zeros((2, 3, 4)), np.float64(0.0)):
+            with pytest.raises(ValueError, match=rf"{re.escape(str(bad.shape))}.*\(5, 4\)"):
+                f(bad)
+
     def test_each_coordinate_lipschitz(self, rng):
         pts = rng.standard_normal((8, 3))
         vals = rng.standard_normal((8, 2))
@@ -237,31 +293,26 @@ def reference_fit(u, t, config, unbiased):
 class TestFitter:
     def test_linear_target_fits_to_tolerance(self, rng):
         u = sample_l1_sphere(rng, 3, 64)
-        data = SphereSampleSet(u, 2.0 * u[:, 0], "l1")
         cfg = FitConfig(width=4, learning_rate=0.5, steps=30_000, restarts=3, seed=11, target_mse=5e-7)
-        net, mse = fit_one_hidden_layer(data, cfg)
+        net, mse = fit_regression(u, 2.0 * u[:, 0], cfg)
         assert mse <= 1e-6
         assert net.depth == 1
 
     def test_absolute_value_fits_to_tolerance(self, rng):
         u = sample_l1_sphere(rng, 3, 64)
-        data = SphereSampleSet(u, np.abs(u[:, 0]), "l1")
         cfg = FitConfig(width=2, learning_rate=0.3, steps=50_000, restarts=8, seed=11, target_mse=5e-7)
-        net, mse = fit_one_hidden_layer(data, cfg)
+        net, mse = fit_regression(u, np.abs(u[:, 0]), cfg)
         assert mse <= 1e-6
 
     def test_empty_data_rejected(self):
-        with pytest.raises(ValueError):
-            SphereSampleSet(np.zeros((0, 3)), np.zeros(0), "l1")
         with pytest.raises(ValueError):
             fit_regression(np.zeros((0, 3)), np.zeros((0, 1)), FitConfig(2, 0.1, 10, 1, 0))
 
     def test_deterministic_given_seed(self, rng):
         u = sample_l1_sphere(rng, 2, 16)
-        data = SphereSampleSet(u, u[:, 0] ** 2, "l1")
         cfg = FitConfig(width=4, learning_rate=0.2, steps=200, restarts=2, seed=3)
-        net1, mse1 = fit_one_hidden_layer(data, cfg)
-        net2, mse2 = fit_one_hidden_layer(data, cfg)
+        net1, mse1 = fit_regression(u, u[:, 0] ** 2, cfg)
+        net2, mse2 = fit_regression(u, u[:, 0] ** 2, cfg)
         assert mse1 == mse2
         assert np.array_equal(net1.layers[0].weights, net2.layers[0].weights)
 
@@ -315,10 +366,6 @@ class TestFitter:
             assert np.array_equal(net.layers[0].bias, b1)
             assert np.array_equal(net.layers[1].bias, b2)
 
-    def test_sphere_sample_set_validates_norms(self):
-        with pytest.raises(ValueError, match="norm"):
-            SphereSampleSet(np.array([[0.5, 0.2]]), np.array([1.0]), "l1")
-
 
 class TestInverseRecovery:
     def test_identity_map_one_sparse(self):
@@ -353,3 +400,45 @@ class TestInverseRecovery:
         fit = FitConfig(width=4, learning_rate=0.2, steps=10, restarts=1, seed=0)
         with pytest.raises(ValueError, match="kernel"):
             build_inverse_recovery_net(a, sampler, fit, num_signals=2)
+
+    def test_negative_densify_rejected(self):
+        fit = FitConfig(width=4, learning_rate=0.2, steps=10, restarts=1, seed=0)
+        with pytest.raises(ValueError, match="densify"):
+            build_inverse_recovery_net(
+                np.eye(2), lambda rng: np.array([1.0, 0.0]), fit, num_signals=2, densify_points=-1
+            )
+
+    @pytest.mark.parametrize("seed", [552, 31])
+    def test_single_lift_matches_stacked_per_coordinate_lifts(self, monkeypatch, seed):
+        fits = []
+
+        def recording_fit(*args, **kwargs):
+            net, mse = fit_regression(*args, **kwargs)
+            fits.append(net)
+            return net, mse
+
+        monkeypatch.setattr(homogenize, "fit_regression", recording_fit)
+        a = gaussian_matrix(np.random.default_rng([seed, 0]), 4, 6)
+        fit = FitConfig(width=16, learning_rate=0.4, steps=200, restarts=2, seed=seed, target_mse=2e-5)
+        net = build_inverse_recovery_net(
+            a, sparse_signal_sampler(6, 1), fit, num_signals=60, densify_points=96
+        )
+        assert len(fits) == 6
+        assert serialize(net) == serialize(stacked_lifts_reference(fits))
+
+
+def stacked_lifts_reference(fits):
+    """Lift every scalar coordinate fit on its own, then stack the lifted nets:
+    the shared [I; -I] first layer, the second layers one below the other and
+    a block-diagonal final layer."""
+    lifted = [homogenize_one_layer(net) for net in fits]
+    first = lifted[0].layers[0].weights
+    widths = [f.layers[1].out_dim for f in lifted]
+    final = np.zeros((len(lifted), sum(widths)))
+    offset = 0
+    for j, f in enumerate(lifted):
+        assert np.array_equal(f.layers[0].weights, first)
+        final[j, offset : offset + widths[j]] = f.layers[2].weights[0]
+        offset += widths[j]
+    second = np.vstack([f.layers[1].weights for f in lifted])
+    return unbiased_relu_net([first, second, final])

@@ -216,6 +216,17 @@ class TestHomogeneityProbe:
         with pytest.raises(ValueError, match=r"shape \(2, 64\)"):
             check_positive_homogeneity(lambda x: x.T, 2, ProbeConfig(seed=1))
 
+    def test_map_sees_at_most_probe_chunk_rows(self, rng):
+        net = random_unbiased_net(rng, [3, 8, 2])
+        sizes = []
+
+        def recording(x):
+            sizes.append(len(x))
+            return evaluate(net, x)
+
+        check_positive_homogeneity(recording, 3, ProbeConfig(seed=2, num_points=150, scales=(0.5, 2.0)))
+        assert max(sizes) == PROBE_CHUNK and sum(sizes) == 150 * 3
+
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError):
             ProbeConfig(seed=1, num_points=0)

@@ -6,6 +6,7 @@ import pytest
 from conftest import low_coherence_matrix
 from homogenlab import solvers
 from homogenlab.experiments import gaussian_matrix
+from homogenlab.network import PROBE_CHUNK, ActivationSpec, LayerSpec, NetworkSpec, evaluate
 from homogenlab.numerics import matrix_norm, soft_threshold
 from homogenlab.solvers import (
     SolveConfig,
@@ -411,7 +412,7 @@ class TestForwardOperators:
 class TestRobustnessScan:
     def test_linear_map_bounded_by_spectral_norm(self, rng):
         m = rng.standard_normal((3, 4))
-        rows = robustness_scan(lambda y: m @ y, np.eye(4), rng.standard_normal(4), [0.1, 1.0], 10, seed=3)
+        rows = robustness_scan(lambda y: y @ m.T, np.eye(4), rng.standard_normal(4), [0.1, 1.0], 10, seed=3)
         bound = matrix_norm(m, "spectral")
         assert len(rows) == 20
         for _, _, ratio in rows:
@@ -422,7 +423,7 @@ class TestRobustnessScan:
         w2 = rng.standard_normal((4, 6))
 
         def f(y):
-            return w2 @ np.maximum(w1 @ y, 0.0)
+            return np.maximum(y @ w1.T, 0.0) @ w2.T
 
         a = rng.standard_normal((4, 4))
         x = rng.standard_normal(4)
@@ -439,6 +440,39 @@ class TestRobustnessScan:
         rows1 = robustness_scan(lambda y: y, np.eye(3), np.ones(3), [0.5], 4, seed=12)
         rows2 = robustness_scan(lambda y: y, np.eye(3), np.ones(3), [0.5], 4, seed=12)
         assert rows1 == rows2
+
+
+    def test_rows_match_per_point_reference(self, rng):
+        net = NetworkSpec(
+            (
+                LayerSpec(rng.standard_normal((12, 5)), rng.standard_normal(12)),
+                LayerSpec(rng.standard_normal((3, 12)), rng.standard_normal(3)),
+            ),
+            ActivationSpec.relu(),
+            unbiased=False,
+        )
+        a, x, levels = rng.standard_normal((5, 7)), rng.standard_normal(7), [0.1, 1.0]
+        sizes = []
+
+        def recording(y):
+            sizes.append(len(y))
+            return evaluate(net, y)
+
+        rows = robustness_scan(recording, a, x, levels, 70, seed=4)
+        assert max(sizes) == PROBE_CHUNK and sum(sizes) == 1 + 140
+        # One draw and one evaluate call per trial, from the same generator.
+        gen = np.random.default_rng(4)
+        y = a @ x
+        base = evaluate(net, y)
+        want = []
+        for level in levels:
+            for trial in range(70):
+                direction = gen.standard_normal(y.size)
+                e = direction * (level / float(np.linalg.norm(direction)))
+                gain = float(np.linalg.norm(evaluate(net, y + e) - base))
+                want.append((level, trial, gain / float(np.linalg.norm(e))))
+        assert [r[:2] for r in rows] == [w[:2] for w in want]
+        np.testing.assert_allclose([r[2] for r in rows], [w[2] for w in want], rtol=1e-12, atol=0)
 
 
 class TestSelectionDiscontinuity:
