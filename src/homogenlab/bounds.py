@@ -255,6 +255,8 @@ def lowrank_rip_sample(a, r: int, num_samples: int, seed: int) -> tuple[float, f
 
     a = as_matrix(a, "measurement matrix")
     m, n = a.shape
+    if m < 1:
+        raise ValueError("measurement matrix has no rows")
     if not 1 <= 2 * r <= n:
         raise ValueError(f"rank {r} out of range: need 1 <= 2r <= {n}")
     if num_samples < 1:

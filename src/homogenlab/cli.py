@@ -246,6 +246,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: Not part of an artifact's configuration line: the subcommand, which the
+#: line names first, and the output paths.
+_UNRECORDED = ("command", "out", "save_matrix", "save_net", "save_curves")
+
+
+def _config(args, **resolved) -> dict:
+    """Configuration line of an artifact: every flag of the subcommand in
+    declaration order, ``--in`` as ``in``, an absent flag as an empty value
+    and a list as its cells joined by ``;``. ``resolved`` replaces the value
+    of a flag whose default the command worked out and appends measured
+    values."""
+    config = {}
+    for key, value in {**vars(args), **resolved}.items():
+        if key in _UNRECORDED:
+            continue
+        if value is None:
+            value = ""
+        elif isinstance(value, (list, tuple)):
+            value = ";".join(format_cell(v) for v in value)
+        config["in" if key == "infile" else key] = value
+    return config
+
+
 def _print_or_write(args, command, config, header, rows):
     if getattr(args, "out", None):
         write_csv(args.out, command, config, header, rows)
@@ -278,16 +301,9 @@ def _cmd_probe(args):
         tolerance=args.tolerance,
     )
     report = network.check_positive_homogeneity(net, net.input_dim, probe)
-    config = {
-        "in": args.infile,
-        "seed": args.seed,
-        "points": args.points,
-        "scales": ";".join(format_cell(s) for s in probe.scales),
-        "tolerance": args.tolerance,
-    }
     rows = [(report.max_defect, report.worst_scale, report.samples, report.passed)]
     if args.out:
-        write_csv(args.out, "probe-homogeneity", config, ("max_defect", "worst_scale", "samples", "passed"), rows)
+        write_csv(args.out, "probe-homogeneity", _config(args), ("max_defect", "worst_scale", "samples", "passed"), rows)
     print(
         f"max_defect={format_cell(report.max_defect)} worst_scale={format_cell(report.worst_scale)} "
         f"samples={report.samples} passed={str(report.passed).lower()}"
@@ -325,14 +341,7 @@ def _cmd_uat_negative(args):
 def _cmd_rip(args):
     a = _matrix_from_args(args)
     report = bounds.rip_exhaustive(a, args.order, args.cap)
-    config = {
-        "in": args.infile or "",
-        "gaussian_m": args.gaussian_m or "",
-        "gaussian_n": args.gaussian_n or "",
-        "seed": "" if args.seed is None else args.seed,
-        "order": args.order,
-        "cap": args.cap,
-    }
+    config = _config(args)
     if args.save_matrix:
         write_matrix_csv(args.save_matrix, a, "rip", config)
     rows = [(report.order, report.delta, report.delta_lb, report.delta_ub, report.supports_checked)]
@@ -352,18 +361,9 @@ def _cmd_conditioning(args):
     report = bounds.empirical_conditioning(
         lambda x: a @ x, sampler, args.pairs, args.norm_ii, args.seed
     )
-    config = {
-        "in": args.infile or "",
-        "gaussian_m": args.gaussian_m or "",
-        "gaussian_n": args.gaussian_n or "",
-        "seed": args.seed,
-        "sparsity": args.sparsity,
-        "pairs": args.pairs,
-        "norm_ii": args.norm_ii,
-    }
     rows = [(report.tau_hat, report.rho_hat, report.pairs_sampled, report.norm_ii_tag, report.norm_equiv_M)]
     if args.out:
-        write_csv(args.out, "conditioning", config, ("tau_hat", "rho_hat", "pairs_sampled", "norm_ii", "norm_equiv_M"), rows)
+        write_csv(args.out, "conditioning", _config(args), ("tau_hat", "rho_hat", "pairs_sampled", "norm_ii", "norm_equiv_M"), rows)
     print(
         f"tau_hat={format_cell(report.tau_hat)} rho_hat={format_cell(report.rho_hat)} "
         f"pairs={report.pairs_sampled} norm_equiv_M={format_cell(report.norm_equiv_M)}"
@@ -380,50 +380,25 @@ def _cmd_lowrank_rip(args):
         # unit-variance entries; the 1/m normalization lives in the sampled map
         a = np.random.default_rng([args.seed, 0]).standard_normal((args.m, args.n))
     lb, ub = bounds.lowrank_rip_sample(a, args.rank, args.samples, args.seed)
-    config = {
-        "in": args.infile or "",
-        "m": args.m or "",
-        "n": args.n or "",
-        "rank": args.rank,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     if args.out:
-        write_csv(args.out, "lowrank-rip", config, ("delta_lb_hat", "delta_ub_hat"), [(lb, ub)])
+        write_csv(args.out, "lowrank-rip", _config(args), ("delta_lb_hat", "delta_ub_hat"), [(lb, ub)])
     print(f"delta_lb_hat={format_cell(lb)} delta_ub_hat={format_cell(ub)}")
     return 0
 
 
+#: The parameter flag of each solve variant; ``solvers.<variant>`` makes
+#: its problem.
+_SOLVE_PARAMETERS = {"qcbp": "eta", "bpdn": "lam", "lasso": "tau", "dantzig": "eta"}
+
+
 def _cmd_solve(args):
     a = read_matrix_csv(args.infile)
-    y = np.array(args.y)
-    if args.variant == "qcbp":
-        if args.eta is None:
-            raise ValueError("qcbp needs --eta")
-        problem = solvers.qcbp(a, y, args.eta)
-    elif args.variant == "bpdn":
-        if args.lam is None:
-            raise ValueError("bpdn needs --lam")
-        problem = solvers.bpdn(a, y, args.lam)
-    elif args.variant == "lasso":
-        if args.tau is None:
-            raise ValueError("lasso needs --tau")
-        problem = solvers.lasso(a, y, args.tau)
-    else:
-        if args.eta is None:
-            raise ValueError("dantzig needs --eta")
-        problem = solvers.dantzig(a, y, args.eta)
+    flag = _SOLVE_PARAMETERS[args.variant]
+    parameter = getattr(args, flag)
+    if parameter is None:
+        raise ValueError(f"{args.variant} needs --{flag}")
+    problem = getattr(solvers, args.variant)(a, np.array(args.y), parameter)
     report = solvers.solve(problem, solvers.SolveConfig(max_iters=args.max_iters, tol=args.tol))
-    config = {
-        "variant": args.variant,
-        "in": args.infile,
-        "y": ";".join(format_cell(v) for v in y),
-        "eta": "" if args.eta is None else args.eta,
-        "lam": "" if args.lam is None else args.lam,
-        "tau": "" if args.tau is None else args.tau,
-        "tol": args.tol,
-        "max_iters": args.max_iters,
-    }
     header = ("objective", "primal_residual", "dual_residual", "iterations", "converged", "uniqueness") + tuple(
         f"z{i}" for i in range(report.solution.size)
     )
@@ -439,7 +414,7 @@ def _cmd_solve(args):
         + tuple(report.solution)
     ]
     if args.out:
-        write_csv(args.out, "solve", config, header, rows)
+        write_csv(args.out, "solve", _config(args), header, rows)
     print(
         f"solution={','.join(format_cell(v) for v in report.solution)} "
         f"objective={format_cell(report.objective)} iterations={report.iterations} "
@@ -450,46 +425,34 @@ def _cmd_solve(args):
     return 0
 
 
+def _step_bound(args, a) -> float:
+    """``--step-bound``, by default the squared spectral norm of ``a``."""
+    if args.step_bound is None:
+        return matrix_norm(a, "spectral") ** 2
+    return args.step_bound
+
+
 def _cmd_ista(args):
     a = read_matrix_csv(args.infile)
     y = np.array(args.y)
-    step_bound = args.step_bound
-    if step_bound is None:
-        step_bound = matrix_norm(a, "spectral") ** 2
+    step_bound = _step_bound(args, a)
     trajectory = solvers.ista_run(a, y, args.lam, step_bound, args.iters)
-    config = {
-        "in": args.infile,
-        "y": ";".join(format_cell(v) for v in y),
-        "lam": args.lam,
-        "step_bound": step_bound,
-        "iters": args.iters,
-    }
     header = ("step", "objective") + tuple(f"z{i}" for i in range(trajectory.shape[1]))
     rows = [
         (k, solvers.ista_objective(a, y, args.lam, trajectory[k])) + tuple(trajectory[k])
         for k in range(trajectory.shape[0])
     ]
-    _print_or_write(args, "ista", config, header, rows)
+    _print_or_write(args, "ista", _config(args, step_bound=step_bound), header, rows)
     return 0
 
 
 def _cmd_lista(args):
     a = read_matrix_csv(args.infile)
-    y = np.array(args.y)
-    step_bound = args.step_bound
-    if step_bound is None:
-        step_bound = matrix_norm(a, "spectral") ** 2
+    step_bound = _step_bound(args, a)
     net = solvers.lista_from_ista(a, args.lam, step_bound, args.depth)
-    final = solvers.lista_eval(net, y, np.zeros(a.shape[1]))
-    config = {
-        "in": args.infile,
-        "y": ";".join(format_cell(v) for v in y),
-        "lam": args.lam,
-        "step_bound": step_bound,
-        "depth": args.depth,
-    }
+    final = solvers.lista_eval(net, np.array(args.y), np.zeros(a.shape[1]))
     header = tuple(f"z{i}" for i in range(final.size))
-    _print_or_write(args, "lista", config, header, [tuple(final)])
+    _print_or_write(args, "lista", _config(args, step_bound=step_bound), header, [tuple(final)])
     return 0
 
 
@@ -508,15 +471,7 @@ def _cmd_robustness(args):
     net = _load_net(args.net)
     a = read_matrix_csv(args.infile)
     rows = solvers.robustness_scan(net, a, np.array(args.x), args.levels, args.trials, args.seed)
-    config = {
-        "net": args.net,
-        "in": args.infile,
-        "x": ";".join(format_cell(v) for v in args.x),
-        "levels": ";".join(format_cell(v) for v in args.levels),
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    _print_or_write(args, "robustness", config, ("noise_level", "trial", "ratio"), rows)
+    _print_or_write(args, "robustness", _config(args), ("noise_level", "trial", "ratio"), rows)
     return 0
 
 
@@ -532,17 +487,7 @@ def _cmd_counterexample(args):
 def _cmd_impossibility(args):
     fit = _fit_config(args, width=1)
     a, rows = experiments.impossibility_experiment(args.m, args.n, args.widths, fit)
-    config = {
-        "m": args.m,
-        "n": args.n,
-        "widths": ";".join(str(w) for w in args.widths),
-        "seed": args.seed,
-        "learning_rate": args.learning_rate,
-        "steps": args.steps,
-        "restarts": args.restarts,
-        "target_mse": args.target_mse,
-    }
-    write_csv(args.out, "impossibility-experiment", config, experiments.IMPOSSIBILITY_HEADER, rows)
+    write_csv(args.out, "impossibility-experiment", _config(args), experiments.IMPOSSIBILITY_HEADER, rows)
     return 0
 
 
@@ -560,22 +505,7 @@ def _cmd_recovery(args):
         densify_points=args.densify,
         curves=curves,
     )
-    config = {
-        "n": args.n,
-        "m": args.m,
-        "s": args.s,
-        "seed": args.seed,
-        "noise": ";".join(format_cell(v) for v in args.noise),
-        "trials": args.trials,
-        "signals": args.signals or "",
-        "densify": args.densify,
-        "width": args.width,
-        "learning_rate": args.learning_rate,
-        "steps": args.steps,
-        "restarts": args.restarts,
-        "target_mse": args.target_mse,
-        "rip_delta": rip.delta,
-    }
+    config = _config(args, rip_delta=rip.delta)
     if args.save_net:
         _save_net(args.save_net, net)
     if args.save_curves:

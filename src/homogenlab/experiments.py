@@ -105,6 +105,8 @@ def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, normalize_co
     """Measurement matrix with N(0, 1/rows) entries; columns rescaled to unit
     l2 by default, which keeps exhaustive isometry constants usable at desk
     scale."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"need at least one row and one column, got {rows} x {cols}")
     a = rng.standard_normal((rows, cols)) / np.sqrt(rows)
     if normalize_columns:
         a = a / np.linalg.norm(a, axis=0, keepdims=True)
@@ -181,6 +183,8 @@ def impossibility_experiment(
     if not 0 < m <= n:
         raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
     widths = [int(w) for w in widths]
+    if not widths:
+        raise ValueError("need at least one width")
     if any(w < 1 for w in widths):
         raise ValueError("widths must be at least 1")
     a = gaussian_matrix(np.random.default_rng([fit.seed, 0]), m, n)
@@ -232,6 +236,8 @@ def recovery_experiment(
     Returns (matrix, net, rip report, rows).
     """
     levels = [float(v) for v in noise_levels]
+    if not levels:
+        raise ValueError("need at least one noise level")
     if not all(0 < v < math.inf for v in levels):
         raise ValueError("noise levels must be positive finite numbers")
     if trials < 1:

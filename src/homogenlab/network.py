@@ -175,16 +175,7 @@ def evaluate(net: NetworkSpec, x) -> np.ndarray:
     h = as_vector(x, "input")
     if h.size != net.input_dim:
         raise ValueError(f"input length {h.size} does not match network input {net.input_dim}")
-    for layer in net.layers[:-1]:
-        pre = layer.weights @ h
-        if layer.bias is not None:
-            pre = pre + layer.bias
-        h = net.activation.apply(pre)
-    last = net.layers[-1]
-    out = last.weights @ h
-    if last.bias is not None:
-        out = out + last.bias
-    return out
+    return _evaluate_batch(net, h[None, :])[0]
 
 
 def _evaluate_batch(net: NetworkSpec, h: np.ndarray) -> np.ndarray:

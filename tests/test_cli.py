@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import homogenlab
-from homogenlab import experiments, network, solvers
+from homogenlab import bounds, experiments, network, solvers
 from homogenlab.cli import build_parser, run
-from homogenlab.experiments import read_matrix_csv, write_matrix_csv
+from homogenlab.experiments import format_cell, gaussian_matrix, read_matrix_csv, write_matrix_csv
 from homogenlab.network import (
     ActivationSpec,
     LayerSpec,
@@ -71,7 +71,8 @@ class TestExitCodes:
         assert "infeasible" in capsys.readouterr().err
 
 
-# The rejected number is the last flag of each command line.
+# The rejected number is the last flag of each command line: a non-finite or
+# out-of-range value, no rows in a generated matrix, or an empty list.
 REJECTED_NUMBERS = [
     ["solve", "--variant", "bpdn", "--in", "{a}", "--y", "1,0", "--lam", "inf"],
     ["solve", "--variant", "bpdn", "--in", "{a}", "--y", "1,0", "--lam", "nan"],
@@ -98,6 +99,11 @@ REJECTED_NUMBERS = [
     ["ista", "--in", "{a}", "--y", "1,0", "--lam", "0.1", "--iters", "2", "--out", "{out}",
      "--step-bound", "nan"],
     ["lista", "--in", "{a}", "--y", "1,0", "--depth", "2", "--out", "{out}", "--lam", "nan"],
+    ["lowrank-rip", "--n", "4", "--rank", "1", "--samples", "3", "--seed", "1", "--out", "{out}", "--m", "0"],
+    ["rip", "--gaussian-n", "4", "--seed", "0", "--order", "1", "--out", "{out}", "--gaussian-m", "0"],
+    ["conditioning", "--gaussian-n", "4", "--seed", "0", "--out", "{out}", "--gaussian-m", "0"],
+    ["impossibility-experiment", "--m", "2", "--n", "4", "--seed", "1", "--out", "{out}", "--widths", ","],
+    ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--noise", ","],
 ]
 
 
@@ -367,3 +373,94 @@ class TestParserReuse:
         assert " lam= " in reused[1][3].splitlines()[0]
         assert reused == outcomes("fresh", fresh_process)
         assert build_parser() is build_parser()
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """A 2 x 3 matrix, a diagonal matrix and a 2-4-3 relu net in tmp_path."""
+    write_matrix_csv(tmp_path / "a.csv", np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.5]]), "test", {})
+    write_matrix_csv(tmp_path / "d.csv", np.diag([2.0, 1.0]), "test", {})
+    save_net(tmp_path / "net.json", unbiased_relu_net([np.arange(8.0).reshape(4, 2) - 3, np.ones((3, 4))]))
+    return tmp_path
+
+
+_RECOVERY_LINE = (
+    "# command=recovery-experiment n=3 m=2 s=1 seed=5 noise=0.10000000000000001 trials=1 signals= "
+    "densify=4 width=4 learning_rate=0.40000000000000002 steps=20 restarts=1 "
+    "target_mse=2.0000000000000002e-05 rip_delta={rip_delta}"
+)
+
+# Command line, then the first line of each artifact it writes; {tmp} stands
+# for the directory of the inputs and outputs.
+CONFIG_LINES = [
+    ("probe-homogeneity --in {tmp}/net.json --seed 1 --points 8 --out {tmp}/out.csv",
+     {"out.csv": "# command=probe-homogeneity in={tmp}/net.json seed=1 points=8 scales=0.5;1;2;10;100 "
+                 "tolerance=9.9999999999999998e-13"}),
+    ("probe-homogeneity --in {tmp}/net.json --seed 1 --points 8 --scales 0.5,3 --tolerance 1e-9 --out {tmp}/out.csv",
+     {"out.csv": "# command=probe-homogeneity in={tmp}/net.json seed=1 points=8 scales=0.5;3 "
+                 "tolerance=1.0000000000000001e-09"}),
+    ("uat-negative --w 0.5,-1,2 --out {tmp}/out.csv",
+     {"out.csv": "# command=uat-negative w=0.5;-1;2"}),
+    ("rip --in {tmp}/a.csv --order 2 --out {tmp}/out.csv",
+     {"out.csv": "# command=rip in={tmp}/a.csv gaussian_m= gaussian_n= seed= order=2 cap=200000"}),
+    ("rip --gaussian-m 3 --gaussian-n 5 --seed 4 --order 2 --cap 100 --save-matrix {tmp}/m.csv --out {tmp}/out.csv",
+     {"m.csv": "# command=rip in= gaussian_m=3 gaussian_n=5 seed=4 order=2 cap=100",
+      "out.csv": "# command=rip in= gaussian_m=3 gaussian_n=5 seed=4 order=2 cap=100"}),
+    ("conditioning --gaussian-m 3 --gaussian-n 5 --seed 4 --pairs 10 --norm-ii l2 --out {tmp}/out.csv",
+     {"out.csv": "# command=conditioning in= gaussian_m=3 gaussian_n=5 seed=4 sparsity=1 pairs=10 norm_ii=l2"}),
+    ("conditioning --in {tmp}/a.csv --seed 4 --sparsity 2 --pairs 10 --out {tmp}/out.csv",
+     {"out.csv": "# command=conditioning in={tmp}/a.csv gaussian_m= gaussian_n= seed=4 sparsity=2 pairs=10 norm_ii=l1"}),
+    ("lowrank-rip --in {tmp}/a.csv --rank 1 --samples 5 --seed 2 --out {tmp}/out.csv",
+     {"out.csv": "# command=lowrank-rip in={tmp}/a.csv m= n= rank=1 samples=5 seed=2"}),
+    ("lowrank-rip --m 6 --n 4 --rank 1 --samples 5 --seed 2 --out {tmp}/out.csv",
+     {"out.csv": "# command=lowrank-rip in= m=6 n=4 rank=1 samples=5 seed=2"}),
+    ("solve --variant qcbp --in {tmp}/a.csv --y 1,-0.5 --eta 0.05 --out {tmp}/out.csv",
+     {"out.csv": "# command=solve variant=qcbp in={tmp}/a.csv y=1;-0.5 eta=0.050000000000000003 lam= tau= "
+                 "tol=1e-08 max_iters=50000"}),
+    ("solve --variant bpdn --in {tmp}/a.csv --y 1,-0.5 --lam 0.1 --tol 1e-6 --out {tmp}/out.csv",
+     {"out.csv": "# command=solve variant=bpdn in={tmp}/a.csv y=1;-0.5 eta= lam=0.10000000000000001 tau= "
+                 "tol=9.9999999999999995e-07 max_iters=50000"}),
+    ("solve --variant lasso --in {tmp}/a.csv --y 1,-0.5 --tau 1 --max-iters 300 --out {tmp}/out.csv",
+     {"out.csv": "# command=solve variant=lasso in={tmp}/a.csv y=1;-0.5 eta= lam= tau=1 tol=1e-08 max_iters=300"}),
+    ("solve --variant dantzig --in {tmp}/a.csv --y 1,-0.5 --eta 0.05 --out {tmp}/out.csv",
+     {"out.csv": "# command=solve variant=dantzig in={tmp}/a.csv y=1;-0.5 eta=0.050000000000000003 lam= tau= "
+                 "tol=1e-08 max_iters=50000"}),
+    ("ista --in {tmp}/d.csv --y 1,0.5 --lam 0.1 --iters 3 --out {tmp}/out.csv",
+     {"out.csv": "# command=ista in={tmp}/d.csv y=1;0.5 lam=0.10000000000000001 step_bound=4 iters=3"}),
+    ("ista --in {tmp}/d.csv --y 1,0.5 --lam 0.1 --step-bound 5 --iters 3 --out {tmp}/out.csv",
+     {"out.csv": "# command=ista in={tmp}/d.csv y=1;0.5 lam=0.10000000000000001 step_bound=5 iters=3"}),
+    ("lista --in {tmp}/d.csv --y 1,0.5 --lam 0.1 --depth 3 --out {tmp}/out.csv",
+     {"out.csv": "# command=lista in={tmp}/d.csv y=1;0.5 lam=0.10000000000000001 step_bound=4 depth=3"}),
+    ("robustness --net {tmp}/net.json --in {tmp}/a.csv --x 1,0,-1 --levels 0.01,0.1 --trials 2 --seed 3 "
+     "--out {tmp}/out.csv",
+     {"out.csv": "# command=robustness net={tmp}/net.json in={tmp}/a.csv x=1;0;-1 levels=0.01;0.10000000000000001 "
+                 "trials=2 seed=3"}),
+    ("impossibility-experiment --m 2 --n 3 --widths 2,3 --seed 1 --steps 20 --restarts 1 --out {tmp}/out.csv",
+     {"out.csv": "# command=impossibility-experiment m=2 n=3 widths=2;3 seed=1 learning_rate=0.40000000000000002 "
+                 "steps=20 restarts=1 target_mse=2.0000000000000002e-05"}),
+    ("recovery-experiment --n 3 --m 2 --seed 5 --noise 0.1 --trials 1 --densify 4 --width 4 --steps 20 "
+     "--restarts 1 --save-curves {tmp}/curves.csv --out {tmp}/out.csv",
+     {"curves.csv": _RECOVERY_LINE, "out.csv": _RECOVERY_LINE}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, lines", CONFIG_LINES, ids=[f"{argv.split()[0]}-{k}" for k, (argv, _) in enumerate(CONFIG_LINES)]
+)
+def test_configuration_lines(cli_inputs, capsys, argv, lines):
+    # The isometry constant is measured, not a flag; it comes from the
+    # same seeded 2 x 3 matrix the command draws.
+    a = gaussian_matrix(np.random.default_rng([5, 0]), 2, 3)
+    rip_delta = format_cell(bounds.rip_exhaustive(a, 2).delta)
+    assert run(argv.format(tmp=cli_inputs).split()) == 0
+    assert capsys.readouterr().err == ""
+    for name, line in lines.items():
+        first = (cli_inputs / name).read_text().splitlines()[0]
+        assert first == line.format(tmp=cli_inputs, rip_delta=rip_delta)
+
+
+@pytest.mark.parametrize("variant, flag", [("qcbp", "eta"), ("bpdn", "lam"), ("lasso", "tau"), ("dantzig", "eta")])
+def test_solve_without_its_parameter_exits_one(cli_inputs, capsys, variant, flag):
+    assert run(["solve", "--variant", variant, "--in", str(cli_inputs / "a.csv"), "--y", "1,0"]) == 1
+    assert capsys.readouterr().err == f"error: {variant} needs --{flag}\n"
+
