@@ -3,8 +3,13 @@
 Covers the one-hidden-layer reconstruction lower bound over a union of lines,
 the hard-instance matrix and bound for scale-invariant approximation by
 one-hidden-layer relu nets, exhaustive restricted-isometry constants,
-sampled generalized-RIP intervals for rank-constrained measurements, and
-sampled expansion/contraction estimates (tau, rho) of a forward map.
+sampled generalized-RIP intervals for rank-constrained measurements, the
+Eckart-Young truncation gap, and sampled expansion/contraction estimates
+(tau, rho) of a forward map.
+
+The sampled estimates take all their draws up front, in the order a
+per-draw loop would, and evaluate them as stacked array operations; a
+forward map is called on (N, d) batches through ``network.map_rows``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, rank_truncate, singular_values
+from .network import map_rows
+from .numerics import as_matrix, as_vector, rank_truncate, row_norms, singular_values
 
 CONDITIONING_NORMS = ("l1", "l2", "nuclear")
 
@@ -113,6 +119,8 @@ def uat_negative_matrix(w) -> np.ndarray:
     """2 x n matrix with unit columns (1, w_k) / sqrt(1 + w_k^2); pairwise
     distinct slopes make every 2x2 subdeterminant nonzero."""
     w = as_vector(w, "slopes")
+    if not w.size:
+        raise ValueError("need at least one slope")
     if np.unique(w).size != w.size:
         raise ValueError("slopes must be pairwise distinct")
     scale = np.sqrt(1.0 + w**2)
@@ -170,15 +178,16 @@ def rip_exhaustive(a, t: int, cap: int = DEFAULT_SUPPORT_CAP) -> RipReport:
     )
 
 
-def _norm_ii(diff: np.ndarray, tag: str) -> float:
+def _norm_ii(diff: np.ndarray, tag: str) -> np.ndarray:
+    """The second norm of every row of ``diff``."""
     if tag == "l1":
-        return float(np.abs(diff).sum())
+        return np.abs(diff).sum(axis=1)
     if tag == "l2":
-        return float(np.linalg.norm(diff))
-    side = math.isqrt(diff.size)
-    if side * side != diff.size:
-        raise ValueError(f"nuclear norm needs a square-matrix vector, got length {diff.size}")
-    return float(np.sum(singular_values(diff.reshape(side, side))))
+        return row_norms(diff)
+    side = math.isqrt(diff.shape[1])
+    if side * side != diff.shape[1]:
+        raise ValueError(f"nuclear norm needs a square-matrix vector, got length {diff.shape[1]}")
+    return np.linalg.svd(diff.reshape(-1, side, side), compute_uv=False).sum(axis=1)
 
 
 def _norm_equiv_constant(dim: int, tag: str) -> float:
@@ -201,6 +210,11 @@ def empirical_conditioning(
     the second norm over ambient pairs (the constraint-set pairs included, so
     the reported numbers are mutually consistent).
 
+    ``sampler`` is called 2 * ``num_pairs`` times, in pair order, and the
+    ambient pairs come next from the same generator. ``forward`` maps an
+    (N, d) batch to N rows; it is called through ``map_rows`` on every pair
+    except the coinciding ones, which are dropped. A NaN gap raises.
+
     Both numbers are one-sided: tau_hat can only overestimate the true
     infimum and rho_hat can only underestimate the true supremum; sampling
     certifies neither.
@@ -210,36 +224,24 @@ def empirical_conditioning(
     if num_pairs < 2:
         raise ValueError("need at least two pairs")
     rng = np.random.default_rng(seed)
-    tau_hat = np.inf
-    rho_hat = 0.0
-    used = 0
-    dim = None
-    set_pairs = []
-    for _ in range(num_pairs):
-        x1 = as_vector(sampler(rng), "sampled point")
-        x2 = as_vector(sampler(rng), "sampled point")
-        dim = x1.size
-        if np.array_equal(x1, x2):
-            continue
-        set_pairs.append((x1, x2))
-    if not set_pairs:
+    points = np.stack([as_vector(sampler(rng), "sampled point") for _ in range(2 * num_pairs)])
+    dim = points.shape[1]
+    pairs = points.reshape(num_pairs, 2, dim)
+    pairs = pairs[np.any(pairs[:, 0] != pairs[:, 1], axis=1)]
+    used = len(pairs)
+    if not used:
         raise ValueError("all sampled pairs were degenerate")
-    for x1, x2 in set_pairs:
-        gap = float(np.linalg.norm(np.asarray(forward(x1)) - np.asarray(forward(x2))))
-        tau_hat = min(tau_hat, gap / float(np.linalg.norm(x1 - x2)))
-        rho_hat = max(rho_hat, gap / _norm_ii(x1 - x2, norm_ii_tag))
-        used += 1
-    for _ in range(num_pairs):
-        x1 = rng.standard_normal(dim)
-        x2 = rng.standard_normal(dim)
-        denom = _norm_ii(x1 - x2, norm_ii_tag)
-        if denom == 0.0:
-            continue
-        gap = float(np.linalg.norm(np.asarray(forward(x1)) - np.asarray(forward(x2))))
-        rho_hat = max(rho_hat, gap / denom)
+    ambient = rng.standard_normal((num_pairs, 2, dim))
+    ambient = ambient[_norm_ii(ambient[:, 0] - ambient[:, 1], norm_ii_tag) != 0.0]
+    pairs = np.concatenate([pairs, ambient])
+    diff = pairs[:, 0] - pairs[:, 1]
+    images = map_rows(forward, pairs.reshape(-1, dim)).reshape(len(pairs), 2, -1)
+    gaps = row_norms(images[:, 0] - images[:, 1])
+    if np.isnan(gaps).any():
+        raise ValueError("forward map returned NaN")
     return ConditioningReport(
-        tau_hat=tau_hat,
-        rho_hat=rho_hat,
+        tau_hat=float(np.min(gaps[:used] / row_norms(diff[:used]))),
+        rho_hat=float(np.max(gaps / _norm_ii(diff, norm_ii_tag))),
         pairs_sampled=used,
         norm_ii_tag=norm_ii_tag,
         norm_equiv_M=_norm_equiv_constant(dim, norm_ii_tag),
@@ -249,8 +251,8 @@ def empirical_conditioning(
 def lowrank_rip_sample(a, r: int, num_samples: int, seed: int) -> tuple[float, float]:
     """Sampled isometry interval of the rank-constrained quadratic measurement
     map: draws unit-Frobenius matrices of rank <= 2r (normalized products of
-    Gaussian factors), evaluates (1/m) ||A(X)||_1, and returns
-    (1 - min observed, max observed - 1)."""
+    Gaussian factors, all samples in one draw), evaluates (1/m) ||A(X)||_1,
+    and returns (1 - min observed, max observed - 1)."""
     from .solvers import lowrank_forward  # solvers imports this module
 
     a = as_matrix(a, "measurement matrix")
@@ -261,33 +263,26 @@ def lowrank_rip_sample(a, r: int, num_samples: int, seed: int) -> tuple[float, f
         raise ValueError(f"rank {r} out of range: need 1 <= 2r <= {n}")
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    lo = np.inf
-    hi = -np.inf
-    for _ in range(num_samples):
-        left = rng.standard_normal((n, 2 * r))
-        right = rng.standard_normal((n, 2 * r))
-        x = left @ right.T
-        x /= np.linalg.norm(x)
-        val = float(np.abs(lowrank_forward(a, x)).sum()) / m
-        lo = min(lo, val)
-        hi = max(hi, val)
-    return 1.0 - lo, hi - 1.0
+    factors = np.random.default_rng(seed).standard_normal((num_samples, 2, n, 2 * r))
+    x = factors[:, 0] @ factors[:, 1].transpose(0, 2, 1)
+    x /= row_norms(x.reshape(num_samples, -1))[:, None, None]
+    vals = np.abs(lowrank_forward(a, x)).sum(axis=1) / m
+    return 1.0 - float(vals.min()), float(vals.max()) - 1.0
 
 
 def eckart_young_gap(m, r: int, candidates: int, seed: int) -> tuple[float, float]:
     """Tail of the best rank-``r`` truncation of ``m`` next to the best
     Frobenius error among ``candidates`` random rank-``r`` matrices (each
-    scaled optimally toward ``m``); the tail can never lose."""
+    scaled optimally toward ``m``; a zero candidate stays zero); the tail can
+    never lose."""
     m = as_matrix(m, "matrix")
     _, tail = rank_truncate(m, r)
-    rng = np.random.default_rng(seed)
     rows, cols = m.shape
-    best = np.inf
-    for _ in range(candidates):
-        cand = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
-        sq = float(np.sum(cand * cand))
-        if sq > 0.0:
-            cand *= float(np.sum(m * cand)) / sq
-        best = min(best, float(np.linalg.norm(m - cand)))
-    return tail, best
+    draws = np.random.default_rng(seed).standard_normal((candidates, rows * r + r * cols))
+    left = draws[:, : rows * r].reshape(candidates, rows, r)
+    right = draws[:, rows * r :].reshape(candidates, r, cols)
+    flat = (left @ right).reshape(candidates, rows * cols)
+    sq = (flat * flat).sum(axis=1)
+    scale = np.divide((m.ravel() * flat).sum(axis=1), sq, out=np.ones_like(sq), where=sq > 0.0)
+    flat *= scale[:, None]
+    return tail, float(np.min(row_norms(m.ravel() - flat), initial=np.inf))

@@ -75,16 +75,14 @@ def _save_net(path, net: network.NetworkSpec) -> None:
         fh.write(network.serialize(net))
 
 
-def _matrix_from_args(args, rows_flag="gaussian_m", cols_flag="gaussian_n", normalize=True):
+def _matrix_from_args(args):
     if args.infile:
         return read_matrix_csv(args.infile)
-    rows = getattr(args, rows_flag)
-    cols = getattr(args, cols_flag)
-    if rows is None or cols is None:
+    if args.gaussian_m is None or args.gaussian_n is None:
         raise ValueError("provide --in or both --gaussian-m and --gaussian-n")
     if args.seed is None:
         raise ValueError("--seed is required when generating a matrix")
-    return gaussian_matrix(np.random.default_rng([args.seed, 0]), rows, cols, normalize)
+    return gaussian_matrix(np.random.default_rng([args.seed, 0]), args.gaussian_m, args.gaussian_n)
 
 
 def _fit_config(args, width=None) -> homogenize.FitConfig:
@@ -132,9 +130,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe-homogeneity", help="measure the worst scaling defect of a network file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--points", type=int, default=64)
+    p.add_argument("--points", type=int, default=network.ProbeConfig.num_points)
     p.add_argument("--scales", type=_floats, default=network.DEFAULT_PROBE_SCALES)
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=network.ProbeConfig.tolerance)
     p.add_argument("--out")
 
     p = sub.add_parser("lower-bound", help="one-hidden-layer reconstruction error floor for a direction set")
@@ -183,8 +181,8 @@ def build_parser() -> _Parser:
     p.add_argument("--eta", type=float)
     p.add_argument("--lam", type=float)
     p.add_argument("--tau", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=50_000)
+    p.add_argument("--tol", type=float, default=solvers.SolveConfig.tol)
+    p.add_argument("--max-iters", type=int, default=solvers.SolveConfig.max_iters)
     p.add_argument("--out")
 
     p = sub.add_parser("ista", help="shrinkage-thresholding trajectory")
@@ -359,7 +357,7 @@ def _cmd_conditioning(args):
     n = a.shape[1]
     sampler = experiments.sparse_signal_sampler(n, args.sparsity, cycle_basis=False)
     report = bounds.empirical_conditioning(
-        lambda x: a @ x, sampler, args.pairs, args.norm_ii, args.seed
+        lambda x: x @ a.T, sampler, args.pairs, args.norm_ii, args.seed
     )
     rows = [(report.tau_hat, report.rho_hat, report.pairs_sampled, report.norm_ii_tag, report.norm_equiv_M)]
     if args.out:

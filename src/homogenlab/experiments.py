@@ -101,16 +101,13 @@ def write_matrix_csv(path, m: np.ndarray, command: str, config: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, normalize_columns: bool = True) -> np.ndarray:
-    """Measurement matrix with N(0, 1/rows) entries; columns rescaled to unit
-    l2 by default, which keeps exhaustive isometry constants usable at desk
-    scale."""
+def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Measurement matrix with N(0, 1/rows) entries and columns rescaled to
+    unit l2, which keeps exhaustive isometry constants usable at desk scale."""
     if rows < 1 or cols < 1:
         raise ValueError(f"need at least one row and one column, got {rows} x {cols}")
     a = rng.standard_normal((rows, cols)) / np.sqrt(rows)
-    if normalize_columns:
-        a = a / np.linalg.norm(a, axis=0, keepdims=True)
-    return a
+    return a / np.linalg.norm(a, axis=0, keepdims=True)
 
 
 def sparse_signal_sampler(n: int, s: int, cycle_basis: bool | None = None):

@@ -303,7 +303,6 @@ def build_inverse_recovery_net(
     a,
     signal_sampler: Callable[[np.random.Generator], np.ndarray],
     fit: FitConfig,
-    lipschitz_bound: float | None = None,
     num_signals: int = 64,
     densify_points: int = 192,
     curves: dict[int, list] | None = None,
@@ -313,8 +312,8 @@ def build_inverse_recovery_net(
 
     Pipeline: draw signals x_i and measurements y_i = A x_i; form sphere pairs
     (y_i / ||y_i||_1, x_i / ||y_i||_1); densify with the Lipschitz
-    inf-extension at extra l1-sphere points (``lipschitz_bound=None`` uses the
-    smallest constant consistent with the data, with 5% headroom); fit one
+    inf-extension at extra l1-sphere points, whose Lipschitz constant is the
+    smallest one consistent with the data plus 5% headroom; fit one
     hidden layer per output coordinate; put the n fits side by side in one
     net (stacked hidden layers, block-diagonal output weights) and lift it.
     """
@@ -349,10 +348,7 @@ def build_inverse_recovery_net(
     anchor_dirs = dirs[keep]
     anchor_vals = vals[keep]
 
-    if lipschitz_bound is None:
-        lipschitz_bound = 1.05 * max(
-            minimal_consistent_lipschitz(anchor_dirs, anchor_vals), 1e-12
-        )
+    lipschitz_bound = 1.05 * max(minimal_consistent_lipschitz(anchor_dirs, anchor_vals), 1e-12)
     extension = mcshane_extend(anchor_dirs, anchor_vals, lipschitz_bound)
 
     extra = sample_l1_sphere(np.random.default_rng([fit.seed, 202]), m, densify_points)

@@ -55,6 +55,15 @@ VARIANTS = ("qcbp", "bpdn", "lasso", "dantzig")
 SCREEN_RTOL = 1e-9
 
 
+def _measurement(a, y) -> tuple[np.ndarray, np.ndarray]:
+    """Validated matrix and measurement, the measurement one entry per row."""
+    a = as_matrix(a, "measurement matrix")
+    y = as_vector(y, "measurement")
+    if y.size != a.shape[0]:
+        raise ValueError(f"measurement length {y.size} does not match {a.shape[0]} rows")
+    return a, y
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """One of the four recovery programs; build instances via the
@@ -68,10 +77,7 @@ class ProblemSpec:
     tau_budget: float | None = None
 
     def __post_init__(self):
-        a = as_matrix(self.a, "measurement matrix")
-        y = as_vector(self.y, "measurement")
-        if y.size != a.shape[0]:
-            raise ValueError(f"measurement length {y.size} does not match {a.shape[0]} rows")
+        a, y = _measurement(self.a, self.y)
         a.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -427,10 +433,7 @@ def brute_force_sparse_fit(
     rounding, so the screened residuals cannot rank them. For y = 0 every
     support ties and is refit, so the screen only adds to the cost.
     """
-    a = as_matrix(a, "measurement matrix")
-    y = as_vector(y, "measurement")
-    if y.size != a.shape[0]:
-        raise ValueError(f"measurement length {y.size} does not match {a.shape[0]} rows")
+    a, y = _measurement(a, y)
     n = a.shape[1]
     if not 0 <= s <= n:
         raise ValueError(f"sparsity {s} out of range [0, {n}]")
@@ -480,8 +483,7 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int, x0=None) -> np.nda
     Returns the (iters + 1, n) array of iterates including the start. With
     L >= sigma_max(A)^2 the objective is non-increasing along the trajectory.
     """
-    a = as_matrix(a, "measurement matrix")
-    y = as_vector(y, "measurement")
+    a, y = _measurement(a, y)
     _check_shrinkage(lam, step_bound)
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
@@ -499,7 +501,8 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int, x0=None) -> np.nda
 
 
 def ista_objective(a, y, lam: float, z) -> float:
-    resid = as_matrix(a) @ as_vector(z) - as_vector(y)
+    a, y = _measurement(a, y)
+    resid = a @ as_vector(z) - y
     return lam * float(np.abs(z).sum()) + 0.5 * float(resid @ resid)
 
 
@@ -569,13 +572,15 @@ def lista_eval(net: Lista, y, x0=None) -> np.ndarray:
 
 def lowrank_forward(a, x) -> np.ndarray:
     """Quadratic measurement map of a square matrix: component j is
-    row_j(A) X row_j(A)^T."""
+    row_j(A) X row_j(A)^T. An (S, n, n) stack of matrices maps to (S, m)."""
     a = as_matrix(a, "measurement matrix")
-    x = as_matrix(x, "matrix signal")
+    x = np.asarray(x, dtype=np.float64)
     n = a.shape[1]
-    if x.shape != (n, n):
-        raise ValueError(f"matrix signal must be {n}x{n}, got {x.shape}")
-    return np.einsum("jk,kl,jl->j", a, x, a)
+    if x.ndim > 3 or x.shape[-2:] != (n, n):
+        raise ValueError(f"matrix signal must be {n}x{n} or a stack of them, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("matrix signal contains non-finite entries")
+    return np.einsum("jk,...kl,jl->...j", a, x, a)
 
 
 def phase_retrieval_forward(a, x) -> np.ndarray:

@@ -18,7 +18,7 @@ from homogenlab.bounds import (
 )
 from homogenlab.homogenize import FitConfig, fit_regression
 from homogenlab.network import evaluate, unbiased_relu_net
-from homogenlab.solvers import phase_retrieval_forward
+from homogenlab.solvers import lowrank_forward, phase_retrieval_forward
 
 
 def gram_eigen_tail_oracle(x, m):
@@ -72,6 +72,10 @@ class TestUatNegative:
     def test_repeated_slopes_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             uat_negative_matrix(np.array([1.0, 1.0]))
+
+    def test_empty_slopes_rejected(self):
+        with pytest.raises(ValueError, match="at least one slope"):
+            uat_negative_matrix(np.array([]))
 
     def test_unit_columns_and_nonzero_subdeterminants(self, rng):
         w = np.sort(rng.standard_normal(6) * 3)
@@ -203,6 +207,68 @@ class TestReconstructionFloor:
             assert self._max_error(net, a, n) >= floor - 1e-9
 
 
+def conditioning_loop_reference(forward, sampler, num_pairs, tag, seed):
+    """The per-draw loop: sampled pairs first, then interleaved ambient
+    pairs, with ``forward`` called on one point at a time."""
+
+    def norm_ii(d):
+        if tag == "l1":
+            return float(np.abs(d).sum())
+        if tag == "l2":
+            return float(np.linalg.norm(d))
+        side = int(round(np.sqrt(d.size)))
+        return float(np.linalg.svd(d.reshape(side, side), compute_uv=False).sum())
+
+    def gap(x1, x2):
+        return float(np.linalg.norm(forward(x1[None])[0] - forward(x2[None])[0]))
+
+    rng = np.random.default_rng(seed)
+    pairs = [(sampler(rng), sampler(rng)) for _ in range(num_pairs)]
+    pairs = [(x1, x2) for x1, x2 in pairs if not np.array_equal(x1, x2)]
+    tau, rho = np.inf, 0.0
+    for x1, x2 in pairs:
+        tau = min(tau, gap(x1, x2) / float(np.linalg.norm(x1 - x2)))
+        rho = max(rho, gap(x1, x2) / norm_ii(x1 - x2))
+    dim = pairs[0][0].size
+    for _ in range(num_pairs):
+        x1, x2 = rng.standard_normal(dim), rng.standard_normal(dim)
+        rho = max(rho, gap(x1, x2) / norm_ii(x1 - x2))
+    return tau, rho, len(pairs)
+
+
+def lowrank_rip_loop_reference(a, r, num_samples, seed):
+    rng = np.random.default_rng(seed)
+    vals = []
+    for _ in range(num_samples):
+        x = rng.standard_normal((a.shape[1], 2 * r)) @ rng.standard_normal((a.shape[1], 2 * r)).T
+        vals.append(np.abs(lowrank_forward(a, x / np.linalg.norm(x))).sum() / a.shape[0])
+    return 1.0 - min(vals), max(vals) - 1.0
+
+
+def eckart_young_loop_reference(m, r, candidates, seed):
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(candidates):
+        cand = rng.standard_normal((m.shape[0], r)) @ rng.standard_normal((r, m.shape[1]))
+        sq = float(np.sum(cand * cand))
+        if sq > 0.0:
+            cand *= float(np.sum(m * cand)) / sq
+        best = min(best, float(np.linalg.norm(m - cand)))
+    return best
+
+
+def signed_basis_sampler(n, k):
+    """Signed basis vectors among the first ``k``: repeats are frequent, so
+    some pairs are degenerate."""
+
+    def sampler(rng):
+        x = np.zeros(n)
+        x[rng.integers(0, k)] = 1.0 if rng.integers(0, 2) else -1.0
+        return x
+
+    return sampler
+
+
 class TestEmpiricalConditioning:
     def test_identity_is_an_isometry(self):
         def sampler(rng):
@@ -225,7 +291,7 @@ class TestEmpiricalConditioning:
             x[rng_.integers(0, 8)] = 1.0 if rng_.integers(0, 2) else -1.0
             return x
 
-        report = empirical_conditioning(lambda x: a @ x, sampler, 100, "l1", seed=5)
+        report = empirical_conditioning(lambda x: x @ a.T, sampler, 100, "l1", seed=5)
         assert report.tau_hat >= np.sqrt(1.0 - delta) - 1e-9
         assert report.tau_hat <= report.rho_hat * report.norm_equiv_M * (1 + 1e-9)
 
@@ -240,6 +306,12 @@ class TestEmpiricalConditioning:
         with pytest.raises(ValueError, match="degenerate"):
             empirical_conditioning(lambda x: x, constant_sampler, 5, "l2", seed=1)
 
+    def test_nan_forward_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            empirical_conditioning(
+                lambda x: np.where(x[:, :1] > 0, np.nan, x), lambda rng: rng.standard_normal(3), 5, "l2", seed=1
+            )
+
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
             ConditioningReport(tau_hat=5.0, rho_hat=1.0, pairs_sampled=3, norm_ii_tag="l2", norm_equiv_M=1.0)
@@ -252,6 +324,24 @@ class TestEmpiricalConditioning:
         report = empirical_conditioning(lambda x: x, sampler, 20, "nuclear", seed=2)
         assert report.norm_equiv_M == pytest.approx(np.sqrt(3.0))
         assert report.rho_hat <= 1.0 + 1e-12  # ||.||_2 <= ||.||_*
+
+    @pytest.mark.parametrize("tag", ["l1", "l2", "nuclear"])
+    def test_matches_per_draw_loop(self, tag):
+        degenerate = 0
+        for seed in range(20):
+            a = np.random.default_rng([seed, 1]).standard_normal((5, 9))
+
+            def forward(x):
+                return np.tanh(x @ a.T)
+
+            sampler = signed_basis_sampler(9, 3)
+            report = empirical_conditioning(forward, sampler, 12 + seed, tag, seed)
+            tau, rho, used = conditioning_loop_reference(forward, sampler, 12 + seed, tag, seed)
+            assert report.pairs_sampled == used
+            assert report.tau_hat == pytest.approx(tau, rel=1e-12)
+            assert report.rho_hat == pytest.approx(rho, rel=1e-12)
+            degenerate += used < 12 + seed
+        assert degenerate > 0
 
 
 class TestLowrankRipSample:
@@ -282,6 +372,13 @@ class TestLowrankRipSample:
         with pytest.raises(ValueError):
             lowrank_rip_sample(rng.standard_normal((4, 3)), 2, 5, seed=0)
 
+    def test_matches_per_draw_loop(self):
+        for seed in range(20):
+            a = np.random.default_rng([seed, 2]).standard_normal((6 + seed, 4 + 2 * (seed % 2)))
+            r = 1 + seed % 2
+            got = lowrank_rip_sample(a, r, 30 + seed, seed)
+            assert got == pytest.approx(lowrank_rip_loop_reference(a, r, 30 + seed, seed), rel=1e-12)
+
 
 class TestEckartYoungGap:
     def test_diagonal_tail(self, rng):
@@ -303,3 +400,10 @@ class TestEckartYoungGap:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             eckart_young_gap(np.eye(3), 5, candidates=10, seed=0)
+
+    def test_matches_per_draw_loop(self):
+        for seed in range(20):
+            m = np.random.default_rng([seed, 3]).standard_normal((5, 3 + seed % 4))
+            r = seed % 3  # rank 0 draws only zero candidates, which stay unscaled
+            _, best = eckart_young_gap(m, r, 40 + seed, seed)
+            assert best == pytest.approx(eckart_young_loop_reference(m, r, 40 + seed, seed), rel=1e-12)

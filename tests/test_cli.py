@@ -72,7 +72,8 @@ class TestExitCodes:
 
 
 # The rejected number is the last flag of each command line: a non-finite or
-# out-of-range value, no rows in a generated matrix, or an empty list.
+# out-of-range value, no rows in a generated matrix, an empty list, or a
+# measurement whose length is not the matrix's row count.
 REJECTED_NUMBERS = [
     ["solve", "--variant", "bpdn", "--in", "{a}", "--y", "1,0", "--lam", "inf"],
     ["solve", "--variant", "bpdn", "--in", "{a}", "--y", "1,0", "--lam", "nan"],
@@ -104,6 +105,8 @@ REJECTED_NUMBERS = [
     ["conditioning", "--gaussian-n", "4", "--seed", "0", "--out", "{out}", "--gaussian-m", "0"],
     ["impossibility-experiment", "--m", "2", "--n", "4", "--seed", "1", "--out", "{out}", "--widths", ","],
     ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--noise", ","],
+    ["uat-negative", "--out", "{out}", "--w", ","],
+    ["ista", "--in", "{a}", "--lam", "0.1", "--iters", "2", "--out", "{out}", "--y", "1"],
 ]
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import forward_pass_oracle
+from homogenlab.bounds import empirical_conditioning
 from homogenlab.network import (
     PROBE_CHUNK,
     ActivationSpec,
@@ -226,6 +227,13 @@ class TestHomogeneityProbe:
 
         check_positive_homogeneity(recording, 3, ProbeConfig(seed=2, num_points=150, scales=(0.5, 2.0)))
         assert max(sizes) == PROBE_CHUNK and sum(sizes) == 150 * 3
+
+        # Conditioning maps its counted pairs only: distinct sampled pairs,
+        # then every ambient pair.
+        sizes.clear()
+        report = empirical_conditioning(recording, lambda g: np.eye(3)[g.integers(0, 2)], 100, "l2", seed=3)
+        assert report.pairs_sampled < 100
+        assert max(sizes) == PROBE_CHUNK and sum(sizes) == 2 * report.pairs_sampled + 2 * 100
 
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError):

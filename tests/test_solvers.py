@@ -342,6 +342,12 @@ class TestIsta:
         with pytest.raises(ValueError):
             ista_run(np.eye(2), np.ones(2), 0.1, 0.0, 5)
 
+    def test_measurement_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="measurement length 1 does not match 2 rows"):
+            ista_run(np.eye(2), np.ones(1), 0.1, 1.0, 2)
+        with pytest.raises(ValueError, match="measurement length 3 does not match 2 rows"):
+            ista_objective(np.eye(2), np.ones(3), 0.1, np.zeros(2))
+
 
 class TestLista:
     def test_depth_zero_returns_start(self, rng):
@@ -401,10 +407,22 @@ class TestForwardOperators:
         a = rng.standard_normal((5, 4))
         assert np.array_equal(phase_retrieval_forward(a, np.zeros(4)), np.zeros(5))
 
+    def test_stack_matches_per_matrix_values(self, rng):
+        a = rng.standard_normal((5, 4))
+        stack = rng.standard_normal((7, 4, 4))
+        want = np.array([lowrank_forward(a, x) for x in stack])
+        assert np.allclose(lowrank_forward(a, stack), want, rtol=1e-12, atol=0)
+
     def test_dimension_mismatch(self, rng):
         a = rng.standard_normal((5, 4))
         with pytest.raises(ValueError):
             lowrank_forward(a, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            lowrank_forward(a, np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            lowrank_forward(a, np.zeros(16))
+        with pytest.raises(ValueError, match="non-finite"):
+            lowrank_forward(a, np.full((2, 4, 4), np.nan))
         with pytest.raises(ValueError):
             phase_retrieval_forward(a, np.zeros(3))
 
