@@ -93,14 +93,19 @@ def _fit_config(args, width=None) -> homogenize.FitConfig:
         restarts=args.restarts,
         seed=args.seed,
         target_mse=args.target_mse,
+        optimizer=getattr(args, "optimizer", homogenize.FitConfig.optimizer),
     )
 
 
-def _add_fit_flags(p, width_default=128):
+def _add_fit_flags(p, width_default=128, optimizer=None, learning_rate=0.4, steps=6000):
+    """The fitter's flags; ``--optimizer`` only where ``optimizer`` names its
+    default, else the library's gradient descent."""
     if width_default is not None:
         p.add_argument("--width", type=int, default=width_default)
-    p.add_argument("--learning-rate", type=float, default=0.4)
-    p.add_argument("--steps", type=int, default=6000)
+    if optimizer is not None:
+        p.add_argument("--optimizer", choices=homogenize.OPTIMIZERS, default=optimizer)
+    p.add_argument("--learning-rate", type=float, default=learning_rate)
+    p.add_argument("--steps", type=int, default=steps)
     p.add_argument("--restarts", type=int, default=2)
     p.add_argument("--target-mse", type=float, default=2e-5)
 
@@ -236,7 +241,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--signals", type=int)
     p.add_argument("--densify", type=int, default=96)
-    _add_fit_flags(p)
+    _add_fit_flags(p, optimizer="adam", learning_rate=3e-3, steps=1500)
     p.add_argument("--save-net")
     p.add_argument("--save-curves", help="per-coordinate training curves as CSV")
     p.add_argument("--out", required=True)

@@ -239,6 +239,7 @@ def recovery_experiment(
         raise ValueError("noise levels must be positive finite numbers")
     if trials < 1:
         raise ValueError("need at least one trial per noise level")
+    sampler = sparse_signal_sampler(n, s)  # rejects an s outside [1, n]
     a = gaussian_matrix(np.random.default_rng([fit.seed, 0]), m, n)
     rip = rip_exhaustive(a, min(2 * s, n))
     if rip.delta >= rip_threshold:
@@ -249,7 +250,7 @@ def recovery_experiment(
         num_signals = 10 * n if s == 1 else 12 * n
     net = build_inverse_recovery_net(
         a,
-        sparse_signal_sampler(n, s),
+        sampler,
         fit,
         num_signals=num_signals,
         densify_points=densify_points,
@@ -259,8 +260,7 @@ def recovery_experiment(
     rows = [("zero", 0, 0.0, 0.0, 0.0, float(np.linalg.norm(evaluate(net, np.zeros(m)))))]
     if s == 1:
         exact = _signed_basis(n)
-    else:
-        sampler = sparse_signal_sampler(n, s)
+    else:  # an s-sparse sampler with s > 1 keeps no state between draws
         rng_cases = np.random.default_rng([fit.seed, 7])
         exact = np.array([sampler(rng_cases) for _ in range(2 * n)])
     # Row i of the approx and noisy blocks perturbs exact case i mod 2n.

@@ -21,9 +21,20 @@ import numpy as np
 from .network import ActivationSpec, LayerSpec, NetworkSpec, unbiased_relu_net
 from .numerics import as_matrix, as_vector
 
+#: Optimizers of ``fit_regression``: plain gradient descent, or Adam.
+OPTIMIZERS = ("adam", "gd")
+
+#: Adam (Kingma & Ba 2015, "Adam: a method for stochastic optimization"):
+#: the moment decay rates and the denominator guard of the paper.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class FitConfig:
-    """Full-batch gradient-descent settings for the one-hidden-layer fitter."""
+    """Full-batch settings for the one-hidden-layer fitter; ``optimizer``
+    names the step rule, one of ``OPTIMIZERS``."""
 
     width: int
     learning_rate: float
@@ -31,8 +42,11 @@ class FitConfig:
     restarts: int
     seed: int
     target_mse: float = 0.0
+    optimizer: str = "gd"
 
     def __post_init__(self):
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZERS}")
         if self.width < 1:
             raise ValueError("width must be at least 1")
         if not 0 < self.learning_rate < math.inf:
@@ -184,6 +198,41 @@ def _init_params(rng, width, in_dim, out_dim, unbiased):
     return w1, b1, w2, b2
 
 
+def _param_views(flat: np.ndarray, width, in_dim, out_dim, unbiased):
+    """w1, b1, w2, b2 as reshaped views into consecutive slices of one flat
+    vector, in ``_init_params``'s order; the biases are None when unbiased."""
+    bias_shapes = (None, None) if unbiased else ((width,), (out_dim,))
+    shapes = [(width, in_dim), bias_shapes[0], (out_dim, width), bias_shapes[1]]
+    views, start = [], 0
+    for shape in shapes:
+        if shape is None:
+            views.append(None)
+            continue
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _adam_step(theta, grad, m, v, scratch, lr: float, t: int) -> None:
+    """Adam update number ``t`` of ``theta`` in place, with bias-corrected
+    moments ``m`` and ``v``; ``grad`` is overwritten."""
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
+    m += scratch
+    v *= ADAM_BETA2
+    np.multiply(grad, grad, out=grad)
+    grad *= 1.0 - ADAM_BETA2
+    v += grad
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=grad)
+    np.sqrt(grad, out=grad)
+    grad += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=scratch)
+    scratch *= lr
+    scratch /= grad
+    theta -= scratch
+
+
 def _merge_repeated_rows(u: np.ndarray, t: np.ndarray):
     """Merge bitwise-identical (input, target) rows into one row each, in
     first-occurrence order, with the repeat count as a float weight column."""
@@ -202,7 +251,7 @@ def fit_regression(
     inputs, targets, config: FitConfig, unbiased: bool = False, curve: list | None = None
 ) -> tuple[NetworkSpec, float]:
     """Fit a one-hidden-layer relu network to (input, target) rows by seeded
-    full-batch gradient descent with restarts.
+    full-batch gradient descent or Adam (``config.optimizer``) with restarts.
 
     Returns the best restart by (mse, restart index), where mse is that of
     the returned weights; deterministic given the config seed.
@@ -212,7 +261,9 @@ def fit_regression(
 
     Identical rows are merged once into one weighted row; the objective (mean
     squared error over all original rows) is unchanged, and data without
-    repeats trains to the same bits as the plain per-row loop.
+    repeats trains to the same bits as the plain per-row loop. Each restart
+    keeps its weights in one flat vector, so a step updates all of them at
+    once; Adam's moments restart from zero with each restart.
     """
     u = as_matrix(np.atleast_2d(np.asarray(inputs, dtype=np.float64)), "inputs")
     t = np.asarray(targets, dtype=np.float64)
@@ -239,8 +290,12 @@ def fit_regression(
     resid = np.empty((rows, out_dim))
     sq = np.empty((rows, out_dim))
     d_out = np.empty((rows, out_dim))
-    g_w1 = np.empty((width, in_dim))
-    g_w2 = np.empty((out_dim, width))
+    size = width * (in_dim + out_dim) + (0 if unbiased else width + out_dim)
+    grad = np.empty(size)
+    g_w1, g_b1, g_w2, g_b2 = _param_views(grad, width, in_dim, out_dim, unbiased)
+    adam = config.optimizer == "adam"
+    if adam:
+        moment1, moment2, scratch = np.empty(size), np.empty(size), np.empty(size)
 
     def forward_mse(w1, b1, w2, b2) -> float:
         np.matmul(u, w1.T, out=pre)
@@ -258,8 +313,13 @@ def fit_regression(
     best = None
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
-        w1, b1, w2, b2 = _init_params(rng, width, in_dim, out_dim, unbiased)
+        init = _init_params(rng, width, in_dim, out_dim, unbiased)
+        theta = np.concatenate([p.ravel() for p in init if p is not None])
+        w1, b1, w2, b2 = _param_views(theta, width, in_dim, out_dim, unbiased)
         lr = config.learning_rate
+        if adam:
+            moment1.fill(0.0)
+            moment2.fill(0.0)
         for step in range(config.steps):
             mse = forward_mse(w1, b1, w2, b2)
             if curve is not None:
@@ -274,14 +334,14 @@ def fit_regression(
             np.greater(pre, 0.0, out=active)
             d_hid *= active
             np.matmul(d_hid.T, u, out=g_w1)
-            g_w1 *= lr
-            w1 -= g_w1
-            g_w2 *= lr
-            w2 -= g_w2
-            if b1 is not None:
-                b1 -= lr * d_hid.sum(axis=0)
-            if b2 is not None:
-                b2 -= lr * d_out.sum(axis=0)
+            if not unbiased:
+                np.sum(d_hid, axis=0, out=g_b1)
+                np.sum(d_out, axis=0, out=g_b2)
+            if adam:
+                _adam_step(theta, grad, moment1, moment2, scratch, lr, step + 1)
+            else:
+                grad *= lr
+                theta -= grad
         else:
             # The budget ran out after an update: report the returned weights.
             mse = forward_mse(w1, b1, w2, b2)

@@ -107,6 +107,9 @@ REJECTED_NUMBERS = [
     ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--noise", ","],
     ["uat-negative", "--out", "{out}", "--w", ","],
     ["ista", "--in", "{a}", "--lam", "0.1", "--iters", "2", "--out", "{out}", "--y", "1"],
+    ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--s", "7"],
+    ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--s", "0"],
+    ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--s", "-1"],
 ]
 
 
@@ -128,6 +131,20 @@ def test_non_finite_or_out_of_range_number_exits_one(tmp_path, monkeypatch, caps
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("s", ["7", "0", "-1"])
+def test_recovery_sparsity_out_of_range_named(tmp_path, capsys, s):
+    argv = ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--s", s]
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: sparsity {s} out of range [1, 6]\n"
+
+
+def test_unknown_optimizer_exits_one(tmp_path, capsys):
+    argv = ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--optimizer", "sgd"]
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert "invalid choice: 'sgd'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestPrintedValues:
@@ -337,6 +354,22 @@ class TestReportsAndDeterminism:
             assert cells[4] == "1"
 
 
+class TestRecoveryDefaults:
+    @pytest.mark.parametrize("seed", [31, 552, 977, 7, 2718])
+    def test_exact_rows_within_bound_and_net_scale_invariant(self, tmp_path, seed):
+        out, net_path = tmp_path / "rec.csv", tmp_path / "net.json"
+        argv = ["recovery-experiment", "--n", "6", "--m", "4", "--seed", str(seed)]
+        assert run(argv + ["--save-net", str(net_path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert " optimizer=adam learning_rate=0.0030000000000000001 steps=1500 " in lines[0]
+        exact = [line.split(",") for line in lines[2:] if line.startswith("exact,")]
+        assert len(exact) == 12
+        assert max(float(cells[5]) / float(cells[2]) for cells in exact) <= 0.2
+        net = load_net(net_path)
+        probe = network.check_positive_homogeneity(net, net.input_dim, network.ProbeConfig(seed=seed))
+        assert probe.max_defect <= 1e-12
+
+
 class TestParserReuse:
     def test_consecutive_runs_match_fresh_processes(self, tmp_path, capsys):
         a_path = tmp_path / "a.csv"
@@ -389,7 +422,7 @@ def cli_inputs(tmp_path):
 
 _RECOVERY_LINE = (
     "# command=recovery-experiment n=3 m=2 s=1 seed=5 noise=0.10000000000000001 trials=1 signals= "
-    "densify=4 width=4 learning_rate=0.40000000000000002 steps=20 restarts=1 "
+    "densify=4 width=4 optimizer=adam learning_rate=0.0030000000000000001 steps=20 restarts=1 "
     "target_mse=2.0000000000000002e-05 rip_delta={rip_delta}"
 )
 

@@ -238,9 +238,10 @@ class TestMcshaneExtension:
 
 
 def reference_fit(u, t, config, unbiased):
-    """Plain per-row full-batch gradient descent with restarts: fresh arrays
-    every step, no merged rows. Returns the chosen restart's weights, the MSE
-    of those weights and the whole training curve."""
+    """Plain per-row full-batch gradient descent, or Adam in the textbook
+    per-parameter formulas, with restarts: fresh arrays every step, no merged
+    rows. Returns the chosen restart's weights, the MSE of those weights and
+    the whole training curve."""
     t = t[:, None] if t.ndim == 1 else t
     n, in_dim = u.shape
     out_dim = t.shape[1]
@@ -266,6 +267,7 @@ def reference_fit(u, t, config, unbiased):
         b1 = None if unbiased else 0.1 * rng.standard_normal(config.width)
         b2 = None if unbiased else np.zeros(out_dim)
         lr = config.learning_rate
+        moments = [[0.0, 0.0] for _ in range(4)]
         for step in range(config.steps):
             pre, hid, resid, mse = forward(w1, b1, w2, b2)
             curve.append((restart, step, mse))
@@ -275,6 +277,21 @@ def reference_fit(u, t, config, unbiased):
             g_w2 = d_out.T @ hid
             d_hid = (d_out @ w2) * (pre > 0.0)
             g_w1 = d_hid.T @ u
+            if config.optimizer == "adam":
+                # Kingma & Ba 2015, Algorithm 1, one parameter array at a time.
+                k = step + 1
+                params = []
+                grads = (g_w1, d_hid.sum(axis=0), g_w2, d_out.sum(axis=0))
+                for p, g, mv in zip((w1, b1, w2, b2), grads, moments):
+                    if p is not None:
+                        mv[0] = 0.9 * mv[0] + (1 - 0.9) * g
+                        mv[1] = 0.999 * mv[1] + (1 - 0.999) * g**2
+                        m_hat = mv[0] / (1 - 0.9**k)
+                        v_hat = mv[1] / (1 - 0.999**k)
+                        p = p - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+                    params.append(p)
+                w1, b1, w2, b2 = params
+                continue
             w1 = w1 - lr * g_w1
             w2 = w2 - lr * g_w2
             if b1 is not None:
@@ -365,6 +382,36 @@ class TestFitter:
         else:
             assert np.array_equal(net.layers[0].bias, b1)
             assert np.array_equal(net.layers[1].bias, b2)
+
+
+    @pytest.mark.parametrize(
+        "out_dim, unbiased, repeats",
+        [(1, False, False), (1, False, True), (4, True, False), (4, True, True)],
+        ids=["biased-1", "biased-1-repeats", "unbiased-4", "unbiased-4-repeats"],
+    )
+    def test_adam_matches_reference_loop(self, rng, out_dim, unbiased, repeats):
+        u = sample_l1_sphere(rng, 3, 40)
+        t = np.abs(u) @ rng.standard_normal((3, out_dim))
+        if repeats:
+            u, t = np.vstack([u, u[:9], u[:3]]), np.vstack([t, t[:9], t[:3]])
+        t = t[:, 0] if out_dim == 1 else t
+        cfg = FitConfig(width=12, learning_rate=1e-2, steps=300, restarts=2, seed=9, optimizer="adam")
+        curve = []
+        net, mse = fit_regression(u, t, cfg, unbiased=unbiased, curve=curve)
+        (w1, b1, w2, b2), ref_mse, ref_curve = reference_fit(u, t, cfg, unbiased)
+        assert mse == pytest.approx(ref_mse, rel=1e-12)
+        np.testing.assert_allclose(np.array(curve), np.array(ref_curve), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(net.layers[0].weights, w1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(net.layers[1].weights, w2, rtol=1e-12, atol=0)
+        if unbiased:
+            assert net.layers[0].bias is None and net.layers[1].bias is None
+        else:
+            np.testing.assert_allclose(net.layers[0].bias, b1, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(net.layers[1].bias, b2, rtol=1e-12, atol=0)
+
+    def test_unknown_optimizer_rejected(self):
+        with pytest.raises(ValueError, match="unknown optimizer 'sgd'"):
+            FitConfig(width=2, learning_rate=0.1, steps=10, restarts=1, seed=0, optimizer="sgd")
 
 
 class TestInverseRecovery:
