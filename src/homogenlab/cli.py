@@ -85,7 +85,7 @@ def _matrix_from_args(args):
     return gaussian_matrix(np.random.default_rng([args.seed, 0]), args.gaussian_m, args.gaussian_n)
 
 
-def _fit_config(args, width=None) -> homogenize.FitConfig:
+def _fit_config(args, width=None, optimizer="gd") -> homogenize.FitConfig:
     return homogenize.FitConfig(
         width=width if width is not None else args.width,
         learning_rate=args.learning_rate,
@@ -93,17 +93,13 @@ def _fit_config(args, width=None) -> homogenize.FitConfig:
         restarts=args.restarts,
         seed=args.seed,
         target_mse=args.target_mse,
-        optimizer=getattr(args, "optimizer", homogenize.FitConfig.optimizer),
+        optimizer=optimizer,
     )
 
 
-def _add_fit_flags(p, width_default=128, optimizer=None, learning_rate=0.4, steps=6000):
-    """The fitter's flags; ``--optimizer`` only where ``optimizer`` names its
-    default, else the library's gradient descent."""
+def _add_fit_flags(p, width_default=128, learning_rate=0.4, steps=6000):
     if width_default is not None:
         p.add_argument("--width", type=int, default=width_default)
-    if optimizer is not None:
-        p.add_argument("--optimizer", choices=homogenize.OPTIMIZERS, default=optimizer)
     p.add_argument("--learning-rate", type=float, default=learning_rate)
     p.add_argument("--steps", type=int, default=steps)
     p.add_argument("--restarts", type=int, default=2)
@@ -241,7 +237,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--signals", type=int)
     p.add_argument("--densify", type=int, default=96)
-    _add_fit_flags(p, optimizer="adam", learning_rate=3e-3, steps=1500)
+    _add_fit_flags(p, learning_rate=3e-3, steps=1500)
     p.add_argument("--save-net")
     p.add_argument("--save-curves", help="per-coordinate training curves as CSV")
     p.add_argument("--out", required=True)
@@ -258,8 +254,8 @@ def _config(args, **resolved) -> dict:
     """Configuration line of an artifact: every flag of the subcommand in
     declaration order, ``--in`` as ``in``, an absent flag as an empty value
     and a list as its cells joined by ``;``. ``resolved`` replaces the value
-    of a flag whose default the command worked out and appends measured
-    values."""
+    of a flag whose default the command worked out and appends settings
+    without a flag and measured values."""
     config = {}
     for key, value in {**vars(args), **resolved}.items():
         if key in _UNRECORDED:
@@ -495,7 +491,7 @@ def _cmd_impossibility(args):
 
 
 def _cmd_recovery(args):
-    fit = _fit_config(args)
+    fit = _fit_config(args, optimizer="adam")
     curves = {} if args.save_curves else None
     a, net, rip, rows = experiments.recovery_experiment(
         args.n,
@@ -508,7 +504,7 @@ def _cmd_recovery(args):
         densify_points=args.densify,
         curves=curves,
     )
-    config = _config(args, rip_delta=rip.delta)
+    config = _config(args, optimizer=fit.optimizer, rip_delta=rip.delta)
     if args.save_net:
         _save_net(args.save_net, net)
     if args.save_curves:

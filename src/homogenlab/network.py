@@ -9,7 +9,6 @@ utilities measure how badly a given function violates that identity.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -364,44 +363,24 @@ def sigma_gamma_probe(activation: ActivationSpec, gamma, probe: ProbeConfig) -> 
     return check_positive_homogeneity(chain, 1, probe)
 
 
-@functools.cache
-def _number_encoder(indent: str) -> json.JSONEncoder:
-    # Without an indent, json encodes in C; the separator lays out the items.
-    return json.JSONEncoder(separators=(",\n" + indent, ": "))
-
-
-def _indented_list(values: list, indent: str) -> str:
-    """``values`` (numbers, or lists of them) as ``json.dumps(..., indent=2)``
-    writes them at a depth whose lines start with ``indent``."""
-    if not values:
-        return "[]"
-    inner = indent + "  "
-    if isinstance(values[0], list):
-        body = (",\n" + inner).join(_indented_list(row, inner) for row in values)
-    else:
-        body = _number_encoder(inner).encode(values)[1:-1]
-    return "[\n" + inner + body + "\n" + indent + "]"
-
-
 def serialize(net: NetworkSpec) -> str:
-    """Network file format (JSON text, round-trips weights bit-exactly).
-
-    The text is that of ``json.dumps(doc, indent=2) + "\\n"``; the weight
-    lists are written by json's C encoder, which an indent would switch off.
-    """
+    """Network file format (JSON text, round-trips weights bit-exactly)."""
     if net.activation.is_relu_family:
         activation = {"relu_family": {"alpha": net.activation.alpha, "beta": net.activation.beta}}
     else:
         activation = {"named": net.activation.kind}
-    head = json.dumps({"activation": activation, "unbiased": net.unbiased}, indent=2)
-    layers = []
-    for layer in net.layers:
-        bias = "null" if layer.bias is None else _indented_list(layer.bias.tolist(), " " * 6)
-        layers.append(
-            f'    {{\n      "weights": {_indented_list(layer.weights.tolist(), " " * 6)},\n'
-            f'      "bias": {bias}\n    }}'
-        )
-    return head[: -len("\n}")] + ',\n  "layers": [\n' + ",\n".join(layers) + "\n  ]\n}\n"
+    doc = {
+        "activation": activation,
+        "unbiased": net.unbiased,
+        "layers": [
+            {
+                "weights": layer.weights.tolist(),
+                "bias": None if layer.bias is None else layer.bias.tolist(),
+            }
+            for layer in net.layers
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _expect(cond: bool, where: str, what: str):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -375,48 +373,6 @@ class TestSerialization:
             unbiased=True,
         )
         assert deserialize(serialize(net)).activation.kind == "softplus"
-
-    @pytest.mark.parametrize("case", ["relu-family", "named", "unbiased", "one-row", "nan"])
-    def test_text_is_that_of_json_indent_2(self, rng, case):
-        layer = LayerSpec(rng.standard_normal((2, 3)))
-        if case == "nan":
-            # Past LayerSpec's finite check, to pin json's spelling of NaN and infinities.
-            weights = np.array(layer.weights)
-            weights[0, 1], weights[1, 0], weights[1, 2] = np.nan, np.inf, -np.inf
-            object.__setattr__(layer, "weights", weights)
-        first = LayerSpec(
-            np.array([[0.0, -0.0, 1e-300], [1e300, 1.0 / 3.0, -2.5], [7.0, 5e-324, -1e16]]),
-            rng.standard_normal(3),
-        )
-        nets = {
-            "relu-family": NetworkSpec(
-                (first, LayerSpec(rng.standard_normal((2, 3)), rng.standard_normal(2))),
-                ActivationSpec.relu_family(1.5, -0.25),
-                unbiased=False,
-            ),
-            "named": NetworkSpec(
-                (LayerSpec(rng.standard_normal((4, 2))), LayerSpec(rng.standard_normal((1, 4)), np.zeros(1))),
-                ActivationSpec.named("tanh"),
-                unbiased=False,
-            ),
-            "unbiased": random_unbiased_net(rng, [3, 5, 4, 2]),
-            "one-row": random_unbiased_net(rng, [1, 1]),
-            "nan": NetworkSpec((layer,), ActivationSpec.relu(), unbiased=True),
-        }
-        net = nets[case]
-        if net.activation.is_relu_family:
-            activation = {"relu_family": {"alpha": net.activation.alpha, "beta": net.activation.beta}}
-        else:
-            activation = {"named": net.activation.kind}
-        doc = {
-            "activation": activation,
-            "unbiased": net.unbiased,
-            "layers": [
-                {"weights": layer.weights.tolist(), "bias": None if layer.bias is None else layer.bias.tolist()}
-                for layer in net.layers
-            ],
-        }
-        assert serialize(net) == json.dumps(doc, indent=2) + "\n"
 
     def test_mismatched_dims_rejected(self):
         doc = """{"activation": {"relu_family": {"alpha": 1.0, "beta": 0.0}},
