@@ -6,7 +6,6 @@ from .numerics import (
     norm,
     project_l2_ball,
     project_linf_ball,
-    pseudo_inverse,
     rank_truncate,
     soft_threshold,
     svd,

@@ -170,7 +170,3 @@ def project_linf_ball(u, center, radius: float) -> np.ndarray:
 def project_linf_ball_unchecked(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """``project_linf_ball`` on finite float64 vectors of equal length, ``radius >= 0``."""
     return center + np.clip(u - center, -radius, radius)
-
-
-def pseudo_inverse(m) -> np.ndarray:
-    return np.linalg.pinv(as_matrix(m))

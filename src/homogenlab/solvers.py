@@ -13,6 +13,12 @@ gradient"):
     lasso    min ||A z - y||_2     s.t. ||z||_1 <= tau
     dantzig  min ||z||_1           s.t. ||A^T (A z - y)||_inf <= eta
 
+At every restart the engine also solves the optimality system on the
+current support and signs exactly, the solution polishing of OSQP (Stellato
+et al. 2020, "OSQP: an operator splitting solver for quadratic programs",
+section 5.2), and stops on the polished pair once one PDHG step from it
+passes the stopping test.
+
 Each converged solution can be re-checked by an independent verifier built on
 feasibility plus a dual certificate (a scaled subgradient condition). The
 lasso residual is minimized through its square, which has the same
@@ -21,7 +27,8 @@ minimizers; reports print the plain residual.
 Every report also classifies the minimizer from the returned primal-dual
 pair (Fuchs 2004; Zhang, Yin & Cheng 2015): rank-deficient columns on the
 support mean it is not unique; full column rank plus a dual strictly inside
-its bound off the support (qcbp, bpdn) mean it is unique.
+its bound off the support (qcbp, bpdn) mean it is unique, and so does a
+lasso matrix of full column rank.
 """
 
 from __future__ import annotations
@@ -229,6 +236,9 @@ _RESTART_NECESSARY = 0.8
 _RESTART_ARTIFICIAL = 0.36
 # Movement below this leaves the primal weight as it is.
 _MOVEMENT_FLOOR = 1e-10
+# Dual entries within this fraction of the largest are rounding, not active
+# rows, when ``_polish`` reads the dantzig dual.
+_DUAL_ROUNDING = 1e-12
 
 
 def _pdhg(problem: ProblemSpec, config: SolveConfig):
@@ -243,7 +253,10 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
     from the movement since the previous restart. The residuals, the
     stopping test and the returned pair are those of T(w_j). bpdn's primal
     residual bounds how far ||A^T u||_inf exceeds lam, so there it must fall
-    below tol * min(1, lam).
+    below tol * min(1, lam). Before each restart, while the cap allows one
+    more step, T is applied once to ``_polish``'s pair; if that step passes
+    the stopping test, its T is returned and counts as an iteration.
+    Otherwise the restart goes ahead unchanged.
     """
     k, prox_primal, prox_dual = _variant_operators(problem)
     step = 0.95 / max(matrix_norm(k, "spectral"), 1e-30)
@@ -251,14 +264,9 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
     kt = k.T
     omega = 1.0
     tau = sigma = step
-    z0 = z = np.zeros(k.shape[1])
-    u0 = u = np.zeros(k.shape[0])
-    kz = k @ z
-    ktu = kt @ u
-    z_new, u_new = z, u
-    p_res = d_res = math.inf
-    iters = j = 0
-    for iters in range(1, config.max_iters + 1):
+
+    def pdhg_step(z, u, kz, ktu):
+        """T(z, u), its movement and the residuals of the pair it returns."""
         z_new = prox_primal(z - tau * ktu, tau)
         kz_new = k @ z_new
         dz = z - z_new
@@ -270,6 +278,17 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
         p_res = math.sqrt(r @ r)
         r = du / sigma - dkz
         d_res = math.sqrt(r @ r)
+        return z_new, u_new, kz_new, ktu_new, dz, du, p_res, d_res
+
+    z0 = z = np.zeros(k.shape[1])
+    u0 = u = np.zeros(k.shape[0])
+    kz = k @ z
+    ktu = kt @ u
+    z_new, u_new = z, u
+    p_res = d_res = math.inf
+    iters = j = 0
+    for iters in range(1, config.max_iters + 1):
+        z_new, u_new, kz_new, ktu_new, dz, du, p_res, d_res = pdhg_step(z, u, kz, ktu)
         if p_res <= p_tol and d_res <= config.tol:
             break
         fixed = math.sqrt(omega * (dz @ dz) + (du @ du) / omega)
@@ -280,6 +299,14 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
             or (fixed <= _RESTART_NECESSARY * fixed0 and fixed > fixed_prev)
             or j >= _RESTART_ARTIFICIAL * iters
         ):
+            polished = _polish(problem, z_new, u_new) if iters < config.max_iters else None
+            if polished is not None:
+                z_pol, u_pol = polished
+                z_pol, u_pol, _, _, _, _, p_pol, d_pol = pdhg_step(z_pol, u_pol, k @ z_pol, kt @ u_pol)
+                if p_pol <= p_tol and d_pol <= config.tol:
+                    z_new, u_new, p_res, d_res = z_pol, u_pol, p_pol, d_pol
+                    iters += 1
+                    break
             dz, du = z_new - z0, u_new - u0
             moved_z, moved_u = math.sqrt(dz @ dz), math.sqrt(du @ du)
             if moved_z > _MOVEMENT_FLOOR and moved_u > _MOVEMENT_FLOOR:
@@ -303,6 +330,59 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
     return z_new, u_new, p_res, d_res, iters, converged
 
 
+def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
+    """Exact primal-dual pair on the support S and signs s of ``z``, from the
+    reduced optimality system (the solution polishing of OSQP, Stellato et
+    al. 2020, section 5.2), or None when that system is singular or has no
+    admissible answer. With G = A_S^T A_S and x = G^-1 A_S^T y, the first
+    three programs share z_S = x - m G^-1 s: bpdn with m = lam / 2; lasso
+    with m = mu / 2 > 0 putting z on the budget; qcbp with m = t putting
+    A z - y on the eta sphere. Dantzig solves the active rows T of the dual
+    (|T| = |S|) against the rows and columns S of K = A^T A. The caller
+    checks the pair with one PDHG step before trusting it.
+    """
+    a, y = problem.a, problem.y
+    support = np.flatnonzero(z)
+    # More columns than rows make G singular, which rounding can hide from
+    # np.linalg.solve.
+    if not 0 < support.size <= a.shape[0]:
+        return None
+    sign = np.sign(z[support])
+    polished = np.zeros_like(z)
+    try:
+        if problem.variant == "dantzig":
+            active = np.flatnonzero(np.abs(u) > _DUAL_ROUNDING * np.abs(u).max())
+            if active.size != support.size:
+                return None
+            k = a.T @ a
+            dual = np.zeros_like(u)
+            polished[support] = np.linalg.solve(
+                k[np.ix_(active, support)], (a.T @ y)[active] + problem.eta * np.sign(u[active])
+            )
+            dual[active] = np.linalg.solve(k[np.ix_(support, active)], -sign)
+            return polished, dual
+        a_s = a[:, support]
+        x_ls, g_sign = np.linalg.solve(a_s.T @ a_s, np.column_stack((a_s.T @ y, sign))).T
+    except np.linalg.LinAlgError:
+        return None
+    if problem.variant == "bpdn":
+        m = 0.5 * problem.lam
+    elif problem.variant == "lasso":
+        m = (sign @ x_ls - problem.tau_budget) / (sign @ g_sign)
+        if not m > 0:
+            return None
+    else:  # qcbp
+        r0 = a_s @ x_ls - y
+        v = a_s @ g_sign
+        slack = problem.eta**2 - r0 @ r0
+        if not slack > 0:
+            return None
+        m = math.sqrt(slack / (v @ v))
+    polished[support] = x_ls - m * g_sign
+    resid = a @ polished - y
+    return polished, (resid / m if problem.variant == "qcbp" else 2.0 * resid)
+
+
 def _uniqueness(problem: ProblemSpec, z: np.ndarray, u: np.ndarray, tol: float) -> str:
     """Classify the minimizer from a converged primal-dual pair.
 
@@ -312,7 +392,9 @@ def _uniqueness(problem: ProblemSpec, z: np.ndarray, u: np.ndarray, tol: float) 
     changing A z and moves ||z||_1 linearly, so z + t h for small |t| of the
     right sign is another minimizer of every variant. For qcbp and bpdn,
     full column rank plus a dual strictly below its bound off S forces every
-    minimizer onto S with the same A z, hence z itself.
+    minimizer onto S with the same A z, hence z itself. A lasso with A of
+    full column rank minimizes a strictly convex ||A z - y||^2 over a convex
+    set, so its minimizer is unique whatever the budget.
     """
     cut = math.sqrt(tol)
     a = problem.a
@@ -320,6 +402,8 @@ def _uniqueness(problem: ProblemSpec, z: np.ndarray, u: np.ndarray, tol: float) 
     a_s = a[:, support]
     if a_s.shape[1] and numerical_rank(a_s) < a_s.shape[1]:
         return "not_unique"
+    if problem.variant == "lasso" and numerical_rank(a) == a.shape[1]:
+        return "unique"
     if problem.variant not in ("qcbp", "bpdn"):
         return "undetermined"
     bound = 1.0 if problem.variant == "qcbp" else problem.lam

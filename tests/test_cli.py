@@ -235,6 +235,12 @@ class TestSolverCommands:
         assert lines[1].split(",")[5] == "uniqueness"
         assert lines[2].split(",")[5] == "unique"
 
+    def test_full_column_rank_lasso_is_unique(self, tmp_path, capsys):
+        a_path = tmp_path / "a.csv"
+        write_matrix_csv(a_path, np.eye(2), "test", {})
+        assert run(["solve", "--variant", "lasso", "--in", str(a_path), "--tau", "10", "--y=3,0"]) == 0
+        assert "uniqueness=unique" in capsys.readouterr().out
+
     def test_ista_trajectory_csv(self, tmp_path):
         a_path = tmp_path / "a.csv"
         out_path = tmp_path / "traj.csv"

@@ -8,7 +8,6 @@ from homogenlab.numerics import (
     norm,
     project_l2_ball,
     project_linf_ball,
-    pseudo_inverse,
     rank_truncate,
     soft_threshold,
     svd,
@@ -164,20 +163,3 @@ class TestProjections:
             r = float(rng.uniform(0, 2))
             assert np.linalg.norm(project_l2_ball(u, center, r) - center) <= r + 1e-12
             assert np.max(np.abs(project_linf_ball(u, center, r) - center)) <= r + 1e-12
-
-
-class TestPseudoInverse:
-    def test_invertible_matches_inverse(self):
-        m = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert np.allclose(pseudo_inverse(m), np.linalg.inv(m), atol=1e-10)
-
-    def test_zero_matrix(self):
-        out = pseudo_inverse(np.zeros((2, 3)))
-        assert out.shape == (3, 2)
-        assert np.all(out == 0)
-
-    def test_penrose_identities(self, rng):
-        m = rng.standard_normal((3, 5))
-        p = pseudo_inverse(m)
-        assert np.allclose(m @ p @ m, m, atol=1e-8)
-        assert np.allclose(p @ m @ p, p, atol=1e-8)

@@ -189,6 +189,14 @@ class TestUniqueness:
             assert report.converged, problem.variant
             assert report.uniqueness == "unique", problem.variant
 
+    def test_full_column_rank_lasso_is_unique(self):
+        # ||A z - y||^2 is strictly convex when A has full column rank, so the
+        # minimizer is unique whether or not the budget is active
+        for tau in (1.0, 10.0):
+            report = solve(lasso(np.eye(2), [3.0, 0.0], tau))
+            assert report.converged
+            assert report.uniqueness == "unique", tau
+
     def test_dual_must_clear_its_bound_off_the_support(self):
         problem = qcbp(np.eye(2), [3.0, 0.0], 1.0)
         z = np.array([2.0, 0.0])
@@ -196,6 +204,91 @@ class TestUniqueness:
         for at_bound in (1.0, 1.0 - 1e-6):
             u = np.array([-1.0, at_bound])
             assert solvers._uniqueness(problem, z, u, 1e-8) == "undetermined"
+
+
+def polish_returning(monkeypatch, make_pair):
+    """Replace ``solvers._polish`` by ``make_pair(problem, polished)``, where
+    ``polished`` is the real candidate or None."""
+    polish = solvers._polish
+    monkeypatch.setattr(
+        solvers, "_polish", lambda problem, z, u: make_pair(problem, polish(problem, z, u))
+    )
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "problem, config, want",
+        [
+            (qcbp(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [2.0, 0.0]),
+            (bpdn(np.array([[1.0]]), [3.0], 2.0), SolveConfig(tol=1e-10), [2.0]),
+            (lasso(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [1.0, 0.0]),
+            (dantzig(np.eye(2), [3.0, 0.5], 1.0), SolveConfig(), soft_threshold(np.array([3.0, 0.5]), 1.0)),
+        ],
+        ids=["qcbp-boundary", "bpdn-scalar", "lasso-budget", "dantzig-soft-threshold"],
+    )
+    def test_closed_forms_are_exact(self, problem, config, want):
+        report = solve(problem, config)
+        assert report.converged
+        np.testing.assert_allclose(report.solution, want, rtol=0, atol=1e-12)
+
+    def test_iteration_cap_is_respected(self):
+        for problem in quality_set():
+            for max_iters in range(1, 6):
+                report = solve(problem, SolveConfig(max_iters=max_iters))
+                assert report.iterations <= max_iters, problem.variant
+                if not report.converged:
+                    assert report.uniqueness == "undetermined", problem.variant
+
+    def test_polished_step_counts_against_the_cap(self):
+        # The step from the polished pair is iteration N: a cap of N still
+        # leaves room for it, a cap of N - 1 does not, and that run stops at
+        # the cap on the plain trajectory.
+        for problem in quality_set():
+            report = solve(problem, SolveConfig(max_iters=20_000))
+            at_cap = solve(problem, SolveConfig(max_iters=report.iterations))
+            assert at_cap.converged and at_cap.iterations == report.iterations, problem.variant
+            assert np.array_equal(at_cap.solution, report.solution), problem.variant
+            capped = solve(problem, SolveConfig(max_iters=report.iterations - 1))
+            assert capped.iterations == report.iterations - 1, problem.variant
+            assert not capped.converged and capped.uniqueness == "undetermined"
+
+    def test_wrong_pair_is_never_returned(self, monkeypatch):
+        flipped = []
+
+        def wrong_sign(problem, pair):
+            if pair is None:
+                return None
+            flipped.append(problem.variant)
+            return -pair[0], -pair[1]
+
+        polish_returning(monkeypatch, wrong_sign)
+        for problem in quality_set():
+            report = solve(problem, SolveConfig(max_iters=20_000))
+            assert report.converged, problem.variant
+            violations = verify_optimality(problem, report.solution, report.dual, 1e-7)
+            assert not violations, (problem.variant, violations)
+        assert set(flipped) == set(solvers.VARIANTS)
+
+    def test_matches_the_unpolished_engine(self, monkeypatch):
+        def problems():
+            for seed in range(20):
+                rng = np.random.default_rng([seed, 41])
+                a = gaussian_matrix(rng, 6, 8)
+                x = np.zeros(8)
+                x[rng.choice(8, size=2, replace=False)] = rng.standard_normal(2)
+                y = a @ x + 0.01 * rng.standard_normal(6)
+                eta = (1e-1, 1e-2, 1e-3, 0.0)[seed % 4]
+                yield from (qcbp(a, y, eta), bpdn(a, y, 0.05), lasso(a, y, np.abs(x).sum()), dantzig(a, y, eta))
+
+        config = SolveConfig(max_iters=20_000)
+        polished = [solve(problem, config) for problem in problems()]
+        polish_returning(monkeypatch, lambda problem, pair: None)
+        reference = [solve(problem, config) for problem in problems()]
+        for problem, report, plain in zip(problems(), polished, reference):
+            assert report.converged and plain.converged, problem.variant
+            assert not verify_optimality(problem, report.solution, report.dual, 1e-7), problem.variant
+            assert report.uniqueness == plain.uniqueness, problem.variant
+        assert sum(r.iterations for r in polished) < sum(r.iterations for r in reference)
 
 
 class TestNoiseScaling:
