@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bounds import DirectionSet, one_layer_lower_bound, rip_exhaustive
-from .homogenize import FitConfig, build_inverse_recovery_net, fit_regression
+from .homogenize import FitConfig, build_inverse_recovery_net, fit_regressions
 from .network import NetworkSpec, evaluate
 from .numerics import row_norms
 
@@ -189,17 +189,20 @@ def impossibility_experiment(
     targets = _signed_basis(n)
     inputs = targets @ a.T
 
-    def run(item):
-        idx, width = item
-        cfg = dataclasses.replace(fit, width=width, seed=fit.seed * 1_000_003 + idx)
-        try:
-            net, mse = fit_regression(inputs, targets, cfg, unbiased=True)
-        except ValueError:
+    configs = [
+        dataclasses.replace(fit, width=width, seed=fit.seed * 1_000_003 + idx)
+        for idx, width in enumerate(widths)
+    ]
+
+    def row(width, fitted):
+        if fitted is None:
             return (width, float("nan"), bound, float("nan"), False)
+        net, mse = fitted
         err = max_signed_basis_error(net, a)
         return (width, err, bound, mse, np.isfinite(err))
 
-    return a, [run(item) for item in enumerate(widths)]
+    fits = fit_regressions(inputs, targets, configs, unbiased=True)
+    return a, [row(width, fitted) for width, fitted in zip(widths, fits)]
 
 
 RECOVERY_HEADER = ("case", "index", "norm_x", "sparse_tail_l1", "norm_e", "error")

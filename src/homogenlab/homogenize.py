@@ -7,6 +7,10 @@ network g into a bias-free two-hidden-layer relu network computing
 construction. The pipeline samples an inverse map on the l1 sphere of the
 measurement space, densifies it with a Lipschitz inf-extension, fits a
 one-hidden-layer net per output coordinate, and lifts the result.
+
+``fit_regressions`` fits several widths and seeds to the same rows at once:
+their restarts train side by side in one stack while they are small enough
+(``STACK_BUDGET``), each to the bits of its own ``fit_regression``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,12 @@ OPTIMIZERS = ("adam", "gd")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+#: Fits train side by side while merged rows x the sum of their widths stays
+#: within this budget. Past it a step is bound by elementwise work, not call
+#: overhead, and stacking was measured to gain little or lose; a larger fit
+#: runs alone.
+STACK_BUDGET = 16_384
 
 
 @dataclass(frozen=True)
@@ -199,8 +209,10 @@ def _init_params(rng, width, in_dim, out_dim, unbiased):
 
 
 def _param_views(flat: np.ndarray, width, in_dim, out_dim, unbiased):
-    """w1, b1, w2, b2 as reshaped views into consecutive slices of one flat
-    vector, in ``_init_params``'s order; the biases are None when unbiased."""
+    """w1, b1, w2, b2 as reshaped views into consecutive slices of the last
+    axis of ``flat``, in ``_init_params``'s order, keeping any leading stack
+    axis; the biases are None when unbiased."""
+    lead = flat.shape[:-1]
     bias_shapes = (None, None) if unbiased else ((width,), (out_dim,))
     shapes = [(width, in_dim), bias_shapes[0], (out_dim, width), bias_shapes[1]]
     views, start = [], 0
@@ -209,7 +221,7 @@ def _param_views(flat: np.ndarray, width, in_dim, out_dim, unbiased):
             views.append(None)
             continue
         size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
+        views.append(flat[..., start : start + size].reshape(lead + shape))
         start += size
     return views
 
@@ -247,6 +259,235 @@ def _merge_repeated_rows(u: np.ndarray, t: np.ndarray):
     return u[keep], t[keep], np.array(counts)[:, None]
 
 
+def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record):
+    """Train the (width, seed, restart) ``members`` side by side.
+
+    Each member keeps its weights in the layout of a solo fit, one after the
+    other in one flat vector, so every elementwise stage and the update run
+    once for all members. Each product runs once per run of equal-width
+    members, on (members, rows, width) blocks whose slices are laid out like
+    a solo fit's arrays, so every member trains to the bits of its solo fit
+    (BLAS rounded width-1, 2, 3 and 5 products differently once they were
+    padded to a wider width). A member stops at a non-finite MSE or one at
+    most the target: its weights are kept, and from then on its weights,
+    gradient and Adam moments are held at zero. One member runs on 2-D
+    arrays with the scalar stopping test.
+
+    Returns, per member, the MSE of its kept weights, those weights and, when
+    ``record``, its MSE at every step it ran.
+    """
+    rows, in_dim = u.shape
+    out_dim = t.shape[1]
+    count = len(members)
+    solo = count == 1
+    sizes = [w * (in_dim + out_dim) + (0 if unbiased else w + out_dim) for w, _, _ in members]
+    starts = np.cumsum([0] + sizes)
+    theta = np.empty(starts[-1])
+    for r, (width, seed, restart) in enumerate(members):
+        init = _init_params(np.random.default_rng([seed, restart]), width, in_dim, out_dim, unbiased)
+        theta[starts[r] : starts[r + 1]] = np.concatenate([p.ravel() for p in init if p is not None])
+    grad = np.empty_like(theta)
+    edges = [0] + [r for r in range(1, count) if members[r][0] != members[r - 1][0]] + [count]
+    hidden_size = sum((b - a) * rows * members[a][0] for a, b in zip(edges, edges[1:]))
+    pre, hid, d_hid = np.empty(hidden_size), np.empty(hidden_size), np.empty(hidden_size)
+    active = np.empty(hidden_size, dtype=bool)
+    lead = () if solo else (count,)
+    out = np.empty(lead + (rows, out_dim))
+    resid = np.empty(lead + (rows, out_dim))
+    sq = np.empty(lead + (rows, out_dim))
+    d_out = np.empty(lead + (rows, out_dim))
+
+    # Per run of equal-width members, the views each stage needs, each with a
+    # leading member axis unless solo.
+    first, second, back, last, offset = [], [], [], [], 0
+    for a, b in zip(edges, edges[1:]):
+        width = members[a][0]
+        shape = () if solo else (b - a,)
+        span = slice(offset, offset + (b - a) * rows * width)
+        offset = span.stop
+        g_pre, g_hid, g_d_hid = (x[span].reshape(shape + (rows, width)) for x in (pre, hid, d_hid))
+        w1, b1, w2, b2, g_w1, g_b1, g_w2, g_b2 = (
+            view
+            for flat in (theta, grad)
+            for view in _param_views(
+                flat[starts[a] : starts[b]].reshape(shape + (-1,)), width, in_dim, out_dim, unbiased
+            )
+        )
+        g_out, g_d_out = (out, d_out) if solo else (out[a:b], d_out[a:b])
+        b1_row, b2_row = (None, None) if unbiased else (b1[..., None, :], b2[..., None, :])
+        first.append((np.swapaxes(w1, -1, -2), g_pre, b1_row))
+        second.append((g_hid, np.swapaxes(w2, -1, -2), g_out, b2_row))
+        back.append((np.swapaxes(g_d_out, -1, -2), g_hid, g_w2, g_d_out, w2, g_d_hid))
+        last.append((np.swapaxes(g_d_hid, -1, -2), g_w1, g_d_hid, g_b1, g_d_out, g_b2))
+    # matmul leaves BLAS for this product when out_dim is 1 (about 3x slower);
+    # np.dot everywhere instead slowed fits run on two threads.
+    hidden_grad = np.dot if solo else np.matmul
+    if not solo:
+        sums = np.empty(count)
+        sq_rows = sq.reshape(count, -1)
+    grad_scale = (2.0 / denom) * weight
+    adam = config.optimizer == "adam"
+    if adam:
+        moment1, moment2, scratch = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
+
+    def forward_mse():
+        for w1_t, g_pre, b1_row in first:
+            np.matmul(u, w1_t, out=g_pre)
+            if b1_row is not None:
+                np.add(g_pre, b1_row, out=g_pre)
+        np.maximum(pre, 0.0, out=hid)
+        for g_hid, w2_t, g_out, b2_row in second:
+            np.matmul(g_hid, w2_t, out=g_out)
+            if b2_row is not None:
+                np.add(g_out, b2_row, out=g_out)
+        np.subtract(out, t, out=resid)
+        np.multiply(resid, resid, out=sq)
+        np.multiply(sq, weight, out=sq)
+        if solo:
+            return float(np.sum(sq)) / denom
+        np.add.reduce(sq_rows, axis=1, out=sums)
+        return sums / denom
+
+    kept = [None] * count
+    final = np.empty(count)
+    ran = np.full(count, config.steps)
+    live = np.ones(count, dtype=bool)
+    frozen = np.empty(0, dtype=np.intp)
+    trail = np.empty((config.steps, count)) if record else None
+    for step in range(config.steps):
+        mse = forward_mse()
+        if trail is not None:
+            trail[step] = mse
+        if solo:
+            if not math.isfinite(mse) or mse <= config.target_mse:
+                ran[0] = step + 1
+                break
+        else:
+            going = mse > config.target_mse
+            going &= mse < math.inf
+            stopped = [] if going.all() else np.flatnonzero(live > going)
+            if len(stopped):
+                live[stopped] = False
+                for r in stopped:
+                    kept[r] = theta[starts[r] : starts[r + 1]].copy()
+                final[stopped], ran[stopped] = mse[stopped], step + 1
+                if not live.any():
+                    break
+                frozen = np.concatenate(
+                    [np.arange(starts[r], starts[r + 1]) for r in np.flatnonzero(~live)]
+                )
+                theta[frozen] = 0.0
+                if adam:
+                    moment1[frozen] = moment2[frozen] = 0.0
+        np.multiply(resid, grad_scale, out=d_out)
+        for g_d_out_t, g_hid, g_w2, g_d_out, w2, g_d_hid in back:
+            np.matmul(g_d_out_t, g_hid, out=g_w2)
+            hidden_grad(g_d_out, w2, out=g_d_hid)
+        np.greater(pre, 0.0, out=active)
+        d_hid *= active
+        for g_d_hid_t, g_w1, g_d_hid, g_b1, g_d_out, g_b2 in last:
+            np.matmul(g_d_hid_t, u, out=g_w1)
+            if g_b1 is not None:
+                np.sum(g_d_hid, axis=-2, out=g_b1)
+                np.sum(g_d_out, axis=-2, out=g_b2)
+        if frozen.size:
+            grad[frozen] = 0.0
+        if adam:
+            _adam_step(theta, grad, moment1, moment2, scratch, config.learning_rate, step + 1)
+        else:
+            grad *= config.learning_rate
+            theta -= grad
+    else:
+        # The budget ran out after an update: report the returned weights.
+        mse = forward_mse()
+    for r in np.flatnonzero(live):
+        kept[r], final[r] = theta[starts[r] : starts[r + 1]], mse if solo else mse[r]
+
+    outcomes = []
+    for r, (width, _, _) in enumerate(members):
+        params = _param_views(kept[r], width, in_dim, out_dim, unbiased)
+        outcomes.append((float(final[r]), params, None if trail is None else trail[: ran[r], r]))
+    return outcomes
+
+
+def fit_regressions(
+    inputs, targets, configs, unbiased: bool = False, curves: list | None = None
+) -> list[tuple[NetworkSpec, float] | None]:
+    """Fit one one-hidden-layer relu network per config to the same (input,
+    target) rows, as ``fit_regression`` would one by one, and return one
+    (net, mse) per config, or None where every restart diverged.
+
+    The configs may differ only in ``width`` and ``seed``. Every
+    (config, restart) pair is a member of a stack that trains side by side
+    (``_fit_stack``); members join a stack while merged rows x the sum of
+    their widths stays within ``STACK_BUDGET``. Each config then keeps the
+    best finite restart by (mse, restart index), walking its restarts in
+    order and stopping at the first that meets the target; restarts after
+    that one are dropped, or not run when they fall in a later stack. Pass
+    one list per config as ``curves`` to collect its (restart, step, mse)
+    rows.
+    """
+    u = as_matrix(np.atleast_2d(np.asarray(inputs, dtype=np.float64)), "inputs")
+    t = np.asarray(targets, dtype=np.float64)
+    if t.ndim == 1:
+        t = t[:, None]
+    t = as_matrix(t, "targets")
+    if u.shape[0] == 0:
+        raise ValueError("no training data")
+    if t.shape[0] != u.shape[0]:
+        raise ValueError(f"{t.shape[0]} targets for {u.shape[0]} inputs")
+    configs = list(configs)
+    if len({dataclasses.replace(c, width=1, seed=0) for c in configs}) > 1:
+        raise ValueError("stacked fit configs may differ only in width and seed")
+    if curves is not None and len(curves) != len(configs):
+        raise ValueError(f"{len(curves)} curves for {len(configs)} configs")
+    denom = u.shape[0] * t.shape[1]
+    u, t, weight = _merge_repeated_rows(u, t)
+
+    outcomes, decided = {}, set()
+    pending = [(c, r) for c in range(len(configs)) for r in range(configs[c].restarts)][::-1]
+    while pending:
+        chunk, load = [], 0
+        while pending:
+            c, r = pending[-1]
+            if c in decided:  # an earlier restart met the target
+                pending.pop()
+                continue
+            load += u.shape[0] * configs[c].width
+            if chunk and load > STACK_BUDGET:
+                break
+            chunk.append(pending.pop())
+        if not chunk:
+            break
+        members = [(configs[c].width, configs[c].seed, r) for c, r in chunk]
+        stack = _fit_stack(u, t, weight, denom, configs[0], members, unbiased, curves is not None)
+        for (c, r), outcome in zip(chunk, stack):
+            outcomes[c, r] = outcome
+            if outcome[0] <= configs[c].target_mse:
+                decided.add(c)
+
+    results = []
+    for c, config in enumerate(configs):
+        best = None
+        for restart in range(config.restarts):
+            mse, params, trail = outcomes[c, restart]
+            if curves is not None:
+                curves[c].extend((restart, step, float(v)) for step, v in enumerate(trail))
+            if not math.isfinite(mse):
+                continue
+            if best is None or mse < best[0]:
+                best = (mse, params)
+            if best[0] <= config.target_mse:
+                break
+        if best is None:
+            results.append(None)
+            continue
+        w1, b1, w2, b2 = best[1]
+        layers = (LayerSpec(w1, b1), LayerSpec(w2, b2))
+        results.append((NetworkSpec(layers, ActivationSpec.relu(), unbiased=unbiased), best[0]))
+    return results
+
+
 def fit_regression(
     inputs, targets, config: FitConfig, unbiased: bool = False, curve: list | None = None
 ) -> tuple[NetworkSpec, float]:
@@ -261,102 +502,14 @@ def fit_regression(
 
     Identical rows are merged once into one weighted row; the objective (mean
     squared error over all original rows) is unchanged, and data without
-    repeats trains to the same bits as the plain per-row loop. Each restart
-    keeps its weights in one flat vector, so a step updates all of them at
-    once; Adam's moments restart from zero with each restart.
+    repeats trains to the same bits as the plain per-row loop. Restarts that
+    fit within ``STACK_BUDGET`` train side by side (``fit_regressions``);
+    Adam's moments restart from zero with each restart.
     """
-    u = as_matrix(np.atleast_2d(np.asarray(inputs, dtype=np.float64)), "inputs")
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[:, None]
-    t = as_matrix(t, "targets")
-    if u.shape[0] == 0:
-        raise ValueError("no training data")
-    if t.shape[0] != u.shape[0]:
-        raise ValueError(f"{t.shape[0]} targets for {u.shape[0]} inputs")
-    n, in_dim = u.shape
-    out_dim = t.shape[1]
-    denom = n * out_dim
-    u, t, weight = _merge_repeated_rows(u, t)
-    grad_scale = (2.0 / denom) * weight
-
-    # Step buffers, reused by every step of every restart.
-    rows, width = u.shape[0], config.width
-    pre = np.empty((rows, width))
-    hid = np.empty((rows, width))
-    d_hid = np.empty((rows, width))
-    active = np.empty((rows, width), dtype=bool)
-    out = np.empty((rows, out_dim))
-    resid = np.empty((rows, out_dim))
-    sq = np.empty((rows, out_dim))
-    d_out = np.empty((rows, out_dim))
-    size = width * (in_dim + out_dim) + (0 if unbiased else width + out_dim)
-    grad = np.empty(size)
-    g_w1, g_b1, g_w2, g_b2 = _param_views(grad, width, in_dim, out_dim, unbiased)
-    adam = config.optimizer == "adam"
-    if adam:
-        moment1, moment2, scratch = np.empty(size), np.empty(size), np.empty(size)
-
-    def forward_mse(w1, b1, w2, b2) -> float:
-        np.matmul(u, w1.T, out=pre)
-        if b1 is not None:
-            np.add(pre, b1, out=pre)
-        np.maximum(pre, 0.0, out=hid)
-        np.matmul(hid, w2.T, out=out)
-        if b2 is not None:
-            np.add(out, b2, out=out)
-        np.subtract(out, t, out=resid)
-        np.multiply(resid, resid, out=sq)
-        np.multiply(sq, weight, out=sq)
-        return float(np.sum(sq)) / denom
-
-    best = None
-    for restart in range(config.restarts):
-        rng = np.random.default_rng([config.seed, restart])
-        init = _init_params(rng, width, in_dim, out_dim, unbiased)
-        theta = np.concatenate([p.ravel() for p in init if p is not None])
-        w1, b1, w2, b2 = _param_views(theta, width, in_dim, out_dim, unbiased)
-        lr = config.learning_rate
-        if adam:
-            moment1.fill(0.0)
-            moment2.fill(0.0)
-        for step in range(config.steps):
-            mse = forward_mse(w1, b1, w2, b2)
-            if curve is not None:
-                curve.append((restart, step, mse))
-            if not math.isfinite(mse) or mse <= config.target_mse:
-                break
-            np.multiply(resid, grad_scale, out=d_out)
-            np.matmul(d_out.T, hid, out=g_w2)
-            # matmul leaves BLAS for this product when out_dim is 1 (about 3x
-            # slower); np.dot everywhere instead slowed fits run on two threads.
-            np.dot(d_out, w2, out=d_hid)
-            np.greater(pre, 0.0, out=active)
-            d_hid *= active
-            np.matmul(d_hid.T, u, out=g_w1)
-            if not unbiased:
-                np.sum(d_hid, axis=0, out=g_b1)
-                np.sum(d_out, axis=0, out=g_b2)
-            if adam:
-                _adam_step(theta, grad, moment1, moment2, scratch, lr, step + 1)
-            else:
-                grad *= lr
-                theta -= grad
-        else:
-            # The budget ran out after an update: report the returned weights.
-            mse = forward_mse(w1, b1, w2, b2)
-        if not math.isfinite(mse):
-            continue
-        if best is None or mse < best[0]:
-            best = (mse, restart, w1, b1, w2, b2)
-        if best[0] <= config.target_mse:
-            break
-    if best is None:
+    (fit,) = fit_regressions(inputs, targets, [config], unbiased, None if curve is None else [curve])
+    if fit is None:
         raise ValueError("all restarts diverged; reduce the learning rate")
-    mse, _, w1, b1, w2, b2 = best
-    layers = (LayerSpec(w1, b1), LayerSpec(w2, b2))
-    net = NetworkSpec(layers, ActivationSpec.relu(), unbiased=unbiased)
-    return net, mse
+    return fit
 
 
 def build_inverse_recovery_net(

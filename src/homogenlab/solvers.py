@@ -336,8 +336,9 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
     al. 2020, section 5.2), or None when that system is singular or has no
     admissible answer. With G = A_S^T A_S and x = G^-1 A_S^T y, the first
     three programs share z_S = x - m G^-1 s: bpdn with m = lam / 2; lasso
-    with m = mu / 2 > 0 putting z on the budget; qcbp with m = t putting
-    A z - y on the eta sphere. Dantzig solves the active rows T of the dual
+    with m = mu / 2 > 0 putting z on the budget, or m = 0 when the budget
+    is inactive, x has the signs s and A has full column rank; qcbp with
+    m = t putting A z - y on the eta sphere. Dantzig solves the active rows T of the dual
     (|T| = |S|) against the rows and columns S of K = A^T A. The caller
     checks the pair with one PDHG step before trusting it.
     """
@@ -370,7 +371,13 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
     elif problem.variant == "lasso":
         m = (sign @ x_ls - problem.tau_budget) / (sign @ g_sign)
         if not m > 0:
-            return None
+            # An inactive budget leaves the least-squares fit on S, which
+            # solves the lasso when its signs are s and A has full column
+            # rank (a wide A skips the rank test).
+            full_rank = a.shape[1] <= a.shape[0] and numerical_rank(a) == a.shape[1]
+            if not (full_rank and np.array_equal(np.sign(x_ls), sign)):
+                return None
+            m = 0.0
     else:  # qcbp
         r0 = a_s @ x_ls - y
         v = a_s @ g_sign

@@ -1,3 +1,4 @@
+import dataclasses
 import shlex
 
 import numpy as np
@@ -16,7 +17,7 @@ from homogenlab.experiments import (
     sparse_signal_sampler,
     sparse_tail_l1,
 )
-from homogenlab.homogenize import FitConfig
+from homogenlab.homogenize import FitConfig, fit_regression
 from homogenlab.network import evaluate, unbiased_relu_net
 
 
@@ -100,6 +101,20 @@ class TestImpossibilityExperiment:
             assert bound == pytest.approx(np.sqrt(0.5))
             assert err >= bound - 1e-9
             assert ok
+
+    def test_rows_match_fits_one_width_at_a_time(self):
+        # The stacked fits pad every width to the widest; the rows must still
+        # be those of one fit_regression per width, bit for bit.
+        fit = FitConfig(width=1, learning_rate=0.4, steps=400, restarts=2, seed=7, target_mse=2e-5)
+        widths = [2, 4, 8, 16]
+        a, rows = impossibility_experiment(2, 4, widths, fit)
+        signals = np.repeat(np.eye(4), 2, axis=0) * np.tile([1.0, -1.0], 4)[:, None]
+        for idx, (width, row) in enumerate(zip(widths, rows)):
+            cfg = dataclasses.replace(fit, width=width, seed=fit.seed * 1_000_003 + idx)
+            net, mse = fit_regression(signals @ a.T, signals, cfg, unbiased=True)
+            err = max_signed_basis_error(net, a)
+            assert row == (width, err, np.sqrt(0.5), mse, True)
+            assert row[1] == err and row[3] == mse
 
     def test_square_case_gives_degenerate_floor(self):
         fit = FitConfig(width=1, learning_rate=0.3, steps=10, restarts=1, seed=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from homogenlab.homogenize import (
     FitConfig,
     build_inverse_recovery_net,
     fit_regression,
+    fit_regressions,
     homogenize_one_layer,
     mcshane_extend,
     minimal_consistent_lipschitz,
@@ -412,6 +414,101 @@ class TestFitter:
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValueError, match="unknown optimizer 'sgd'"):
             FitConfig(width=2, learning_rate=0.1, steps=10, restarts=1, seed=0, optimizer="sgd")
+
+
+def assert_fit_equal(fitted, want, rtol=0.0):
+    """A (net, mse) pair against reference weights (w1, b1, w2, b2) and mse:
+    bit for bit at rtol 0."""
+    net, mse = fitted
+    (w1, b1, w2, b2), ref_mse = want
+    got = (net.layers[0].weights, net.layers[0].bias, net.layers[1].weights, net.layers[1].bias)
+    for g, w in zip(got, (w1, b1, w2, b2)):
+        if w is None:
+            assert g is None
+        else:
+            np.testing.assert_allclose(g, w, rtol=rtol, atol=0)
+    np.testing.assert_allclose(mse, ref_mse, rtol=rtol, atol=0)
+
+
+class TestStackedFits:
+    """``fit_regressions`` trains every (width, seed, restart) of its configs
+    side by side; each config must come out as its own sequential fit."""
+
+    @staticmethod
+    def data(rng, out_dim):
+        u = sample_l1_sphere(rng, 3, 40)
+        t = np.abs(u) @ rng.standard_normal((3, out_dim))
+        return u, (t[:, 0] if out_dim == 1 else t)
+
+    @pytest.mark.parametrize("out_dim, unbiased", [(1, False), (4, True)], ids=["biased-1", "unbiased-4"])
+    def test_gd_widths_match_reference_loop_bitwise(self, rng, out_dim, unbiased):
+        u, t = self.data(rng, out_dim)
+        configs = [
+            FitConfig(width=w, learning_rate=0.3, steps=200, restarts=2, seed=9 + w) for w in (1, 3, 8, 16)
+        ]
+        curves = [[] for _ in configs]
+        fits = fit_regressions(u, t, configs, unbiased=unbiased, curves=curves)
+        for cfg, fitted, curve in zip(configs, fits, curves):
+            weights, ref_mse, ref_curve = reference_fit(u, t, cfg, unbiased)
+            assert_fit_equal(fitted, (weights, ref_mse))
+            assert np.array_equal(np.array(curve), np.array(ref_curve))
+
+    def test_adam_keeps_the_sequential_restart_rule(self, rng):
+        u, t = self.data(rng, 1)
+        # At this target: width 12 hits it in restart 0, so restart 1's rows
+        # go; width 8 hits it only in restart 1, so both restarts stay; width
+        # 4 never does and keeps the stack running after the others stop.
+        target = 2e-3
+        configs = [
+            FitConfig(width=w, learning_rate=1e-2, steps=300, restarts=2, seed=s,
+                      target_mse=target, optimizer="adam")
+            for w, s in ((12, 6), (8, 3), (4, 1))
+        ]
+        curves = [[] for _ in configs]
+        fits = fit_regressions(u, t, configs, curves=curves)
+        restarts_seen = [sorted({row[0] for row in curve}) for curve in curves]
+        assert restarts_seen == [[0], [0, 1], [0, 1]]
+        assert fits[0][1] <= target and fits[1][1] <= target and fits[2][1] > target
+        for cfg, fitted, curve in zip(configs, fits, curves):
+            weights, ref_mse, ref_curve = reference_fit(u, t, cfg, False)
+            assert_fit_equal(fitted, (weights, ref_mse), rtol=1e-12)
+            assert len(curve) == len(ref_curve)
+            np.testing.assert_allclose(np.array(curve), np.array(ref_curve), rtol=1e-12, atol=0)
+
+    def test_diverged_members_leave_the_others_alone(self, rng):
+        u, t = self.data(rng, 4)
+        # At lr 6, width 16 diverges in restart 0 only; 32 and 64 diverge in both.
+        configs = [
+            FitConfig(width=w, learning_rate=6.0, steps=200, restarts=2, seed=9 + w)
+            for w in (1, 3, 8, 16, 32, 64)
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            curves = [[] for _ in configs]
+            fits = fit_regressions(u, t, configs, unbiased=True, curves=curves)
+            assert [fitted is None for fitted in fits] == [False] * 4 + [True] * 2
+            for cfg, fitted, curve in zip(configs, fits, curves):
+                solo_curve = []
+                if fitted is None:
+                    with pytest.raises(ValueError, match="all restarts diverged"):
+                        fit_regression(u, t, cfg, unbiased=True, curve=solo_curve)
+                    assert curve == solo_curve
+                    continue
+                net, mse = fit_regression(u, t, cfg, unbiased=True, curve=solo_curve)
+                assert_fit_equal(fitted, ((net.layers[0].weights, None, net.layers[1].weights, None), mse))
+                assert curve == solo_curve
+        assert not all(np.isfinite(mse) for restart, _, mse in curves[3] if restart == 0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"learning_rate": 0.2}, {"steps": 11}, {"optimizer": "adam"}, {"restarts": 2}, {"target_mse": 1e-3}],
+        ids=["learning-rate", "steps", "optimizer", "restarts", "target"],
+    )
+    def test_configs_differing_beyond_width_and_seed_rejected(self, rng, change):
+        u, t = self.data(rng, 1)
+        base = FitConfig(width=4, learning_rate=0.1, steps=10, restarts=1, seed=0)
+        other = dataclasses.replace(base, width=8, seed=1, **change)
+        with pytest.raises(ValueError, match="width and seed"):
+            fit_regressions(u, t, [base, other])
 
 
 class TestInverseRecovery:

@@ -222,9 +222,11 @@ class TestPolish:
             (qcbp(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [2.0, 0.0]),
             (bpdn(np.array([[1.0]]), [3.0], 2.0), SolveConfig(tol=1e-10), [2.0]),
             (lasso(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [1.0, 0.0]),
+            # The budget is inactive: the answer is the least-squares fit.
+            (lasso(np.eye(2), [3.0, 0.0], 10.0), SolveConfig(), [3.0, 0.0]),
             (dantzig(np.eye(2), [3.0, 0.5], 1.0), SolveConfig(), soft_threshold(np.array([3.0, 0.5]), 1.0)),
         ],
-        ids=["qcbp-boundary", "bpdn-scalar", "lasso-budget", "dantzig-soft-threshold"],
+        ids=["qcbp-boundary", "bpdn-scalar", "lasso-budget", "lasso-inactive-budget", "dantzig-soft-threshold"],
     )
     def test_closed_forms_are_exact(self, problem, config, want):
         report = solve(problem, config)
