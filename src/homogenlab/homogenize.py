@@ -132,6 +132,25 @@ def radial_extend_l2(f_on_sphere: Callable) -> Callable:
     return extended
 
 
+def _pairwise_gaps(points, values):
+    """Checked samples: points as (N, d) rows (a 1-D array is N scalars),
+    values as (N, p) rows (a 1-D array is N scalars), both finite, with their
+    pairwise l2 distances and largest per-coordinate value gaps."""
+    u = np.asarray(points, dtype=np.float64)
+    if u.ndim == 1:
+        u = u[:, None]
+    u = as_matrix(u, "points")
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim == 1:
+        v = v[:, None]
+    v = as_matrix(v, "values")
+    if v.shape[0] != u.shape[0]:
+        raise ValueError(f"{v.shape[0]} values for {u.shape[0]} points")
+    dists = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=2)
+    gaps = np.abs(v[:, None, :] - v[None, :, :]).max(axis=2)
+    return u, v, dists, gaps
+
+
 def mcshane_extend(points, values, lipschitz: float) -> Callable:
     """Constructive Lipschitz extension of sampled values
     f_j(x) = min_i (v_i)_j + L ||x - u_i||_2 (per output coordinate).
@@ -141,22 +160,10 @@ def mcshane_extend(points, values, lipschitz: float) -> Callable:
     naming the violating pair. Each coordinate of the extension is
     L-Lipschitz, so the vector map is sqrt(p) L-Lipschitz for p outputs.
     """
-    if lipschitz <= 0:
-        raise ValueError("Lipschitz constant must be positive")
-    u = np.asarray(points, dtype=np.float64)
-    if u.ndim == 1:
-        u = u[:, None]
-    u = as_matrix(u, "points")
-    v = np.asarray(values, dtype=np.float64)
-    scalar_out = v.ndim == 1
-    if scalar_out:
-        v = v[:, None]
-    v = as_matrix(v, "values")
-    if v.shape[0] != u.shape[0]:
-        raise ValueError(f"{v.shape[0]} values for {u.shape[0]} points")
-
-    dists = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=2)
-    gaps = np.abs(v[:, None, :] - v[None, :, :]).max(axis=2)
+    if not 0 < lipschitz < math.inf:
+        raise ValueError("Lipschitz constant must be a positive finite number")
+    scalar_out = np.ndim(values) == 1
+    u, v, dists, gaps = _pairwise_gaps(points, values)
     bad = gaps > lipschitz * dists + 1e-12
     if bad.any():
         i, k = np.argwhere(bad)[0]
@@ -186,12 +193,7 @@ def mcshane_extend(points, values, lipschitz: float) -> Callable:
 def minimal_consistent_lipschitz(points, values) -> float:
     """Smallest per-coordinate Lipschitz constant under which the samples are
     mutually consistent (0 for a single sample)."""
-    u = as_matrix(np.atleast_2d(np.asarray(points, dtype=np.float64)), "points")
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
-    dists = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=2)
-    gaps = np.abs(v[:, None, :] - v[None, :, :]).max(axis=2)
+    _, _, dists, gaps = _pairwise_gaps(points, values)
     mask = dists > 0
     if not mask.any():
         return 0.0
@@ -265,13 +267,13 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
     Each member keeps its weights in the layout of a solo fit, one after the
     other in one flat vector, so every elementwise stage and the update run
     once for all members. Each product runs once per run of equal-width
-    members, on (members, rows, width) blocks whose slices are laid out like
-    a solo fit's arrays, so every member trains to the bits of its solo fit
-    (BLAS rounded width-1, 2, 3 and 5 products differently once they were
-    padded to a wider width). A member stops at a non-finite MSE or one at
-    most the target: its weights are kept, and from then on its weights,
-    gradient and Adam moments are held at zero. One member runs on 2-D
-    arrays with the scalar stopping test.
+    members, laid out like a solo fit's arrays, so every member trains to the
+    bits of its solo fit (BLAS rounded width-1, 2, 3 and 5 products
+    differently once they were padded to a wider width). A run of several
+    members works on (members, rows, width) blocks with ``np.matmul``; a run of
+    one keeps 2-D arrays and ``np.dot`` for the hidden-layer gradient. A member
+    stops at a non-finite MSE or one at most the target: its weights are kept,
+    and from then on its weights, gradient and Adam moments are held at zero.
 
     Returns, per member, the MSE of its kept weights, those weights and, when
     ``record``, its MSE at every step it ran.
@@ -279,7 +281,6 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
     rows, in_dim = u.shape
     out_dim = t.shape[1]
     count = len(members)
-    solo = count == 1
     sizes = [w * (in_dim + out_dim) + (0 if unbiased else w + out_dim) for w, _, _ in members]
     starts = np.cumsum([0] + sizes)
     theta = np.empty(starts[-1])
@@ -291,18 +292,21 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
     hidden_size = sum((b - a) * rows * members[a][0] for a, b in zip(edges, edges[1:]))
     pre, hid, d_hid = np.empty(hidden_size), np.empty(hidden_size), np.empty(hidden_size)
     active = np.empty(hidden_size, dtype=bool)
-    lead = () if solo else (count,)
-    out = np.empty(lead + (rows, out_dim))
-    resid = np.empty(lead + (rows, out_dim))
-    sq = np.empty(lead + (rows, out_dim))
-    d_out = np.empty(lead + (rows, out_dim))
+    out, resid, sq, d_out = (np.empty((count, rows, out_dim)) for _ in range(4))
+    # Every elementwise stage gets operands of one shape: broadcasting the
+    # (rows, 1) weights against the member axis was measured slower.
+    t, weight = (np.broadcast_to(x, out.shape).copy() for x in (t, weight))
+    grad_scale = (2.0 / denom) * weight
 
-    # Per run of equal-width members, the views each stage needs, each with a
-    # leading member axis unless solo.
+    # Per run of equal-width members, the views each stage needs. matmul
+    # leaves BLAS for the hidden-layer gradient when out_dim is 1 (about 3x
+    # slower), so a run of one keeps 2-D views and np.dot; np.dot has no
+    # batched form, so a longer run keeps matmul on its blocks.
     first, second, back, last, offset = [], [], [], [], 0
     for a, b in zip(edges, edges[1:]):
         width = members[a][0]
-        shape = () if solo else (b - a,)
+        lone = b - a == 1
+        shape = () if lone else (b - a,)
         span = slice(offset, offset + (b - a) * rows * width)
         offset = span.stop
         g_pre, g_hid, g_d_hid = (x[span].reshape(shape + (rows, width)) for x in (pre, hid, d_hid))
@@ -313,19 +317,15 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
                 flat[starts[a] : starts[b]].reshape(shape + (-1,)), width, in_dim, out_dim, unbiased
             )
         )
-        g_out, g_d_out = (out, d_out) if solo else (out[a:b], d_out[a:b])
+        g_out, g_d_out = (out[a], d_out[a]) if lone else (out[a:b], d_out[a:b])
         b1_row, b2_row = (None, None) if unbiased else (b1[..., None, :], b2[..., None, :])
         first.append((np.swapaxes(w1, -1, -2), g_pre, b1_row))
         second.append((g_hid, np.swapaxes(w2, -1, -2), g_out, b2_row))
-        back.append((np.swapaxes(g_d_out, -1, -2), g_hid, g_w2, g_d_out, w2, g_d_hid))
+        hidden_grad = np.dot if lone else np.matmul
+        back.append((np.swapaxes(g_d_out, -1, -2), g_hid, g_w2, hidden_grad, g_d_out, w2, g_d_hid))
         last.append((np.swapaxes(g_d_hid, -1, -2), g_w1, g_d_hid, g_b1, g_d_out, g_b2))
-    # matmul leaves BLAS for this product when out_dim is 1 (about 3x slower);
-    # np.dot everywhere instead slowed fits run on two threads.
-    hidden_grad = np.dot if solo else np.matmul
-    if not solo:
-        sums = np.empty(count)
-        sq_rows = sq.reshape(count, -1)
-    grad_scale = (2.0 / denom) * weight
+    sums = np.empty(count)
+    sq_rows = sq.reshape(count, -1)
     adam = config.optimizer == "adam"
     if adam:
         moment1, moment2, scratch = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
@@ -343,44 +343,34 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
         np.subtract(out, t, out=resid)
         np.multiply(resid, resid, out=sq)
         np.multiply(sq, weight, out=sq)
-        if solo:
-            return float(np.sum(sq)) / denom
         np.add.reduce(sq_rows, axis=1, out=sums)
-        return sums / denom
+        return np.divide(sums, denom, out=sums)
 
+    # kept[r] = (mse, weights, steps run) once member r stops.
     kept = [None] * count
-    final = np.empty(count)
-    ran = np.full(count, config.steps)
-    live = np.ones(count, dtype=bool)
+    live = list(range(count))
     frozen = np.empty(0, dtype=np.intp)
     trail = np.empty((config.steps, count)) if record else None
     for step in range(config.steps):
         mse = forward_mse()
         if trail is not None:
             trail[step] = mse
-        if solo:
-            if not math.isfinite(mse) or mse <= config.target_mse:
-                ran[0] = step + 1
+        values = mse.tolist()
+        stopped = [r for r in live if not config.target_mse < values[r] < math.inf]
+        if stopped:
+            for r in stopped:
+                kept[r] = (values[r], theta[starts[r] : starts[r + 1]].copy(), step + 1)
+            live = [r for r in live if kept[r] is None]
+            if not live:
                 break
-        else:
-            going = mse > config.target_mse
-            going &= mse < math.inf
-            stopped = [] if going.all() else np.flatnonzero(live > going)
-            if len(stopped):
-                live[stopped] = False
-                for r in stopped:
-                    kept[r] = theta[starts[r] : starts[r + 1]].copy()
-                final[stopped], ran[stopped] = mse[stopped], step + 1
-                if not live.any():
-                    break
-                frozen = np.concatenate(
-                    [np.arange(starts[r], starts[r + 1]) for r in np.flatnonzero(~live)]
-                )
-                theta[frozen] = 0.0
-                if adam:
-                    moment1[frozen] = moment2[frozen] = 0.0
+            frozen = np.concatenate(
+                [np.arange(starts[r], starts[r + 1]) for r in range(count) if kept[r] is not None]
+            )
+            theta[frozen] = 0.0
+            if adam:
+                moment1[frozen] = moment2[frozen] = 0.0
         np.multiply(resid, grad_scale, out=d_out)
-        for g_d_out_t, g_hid, g_w2, g_d_out, w2, g_d_hid in back:
+        for g_d_out_t, g_hid, g_w2, hidden_grad, g_d_out, w2, g_d_hid in back:
             np.matmul(g_d_out_t, g_hid, out=g_w2)
             hidden_grad(g_d_out, w2, out=g_d_hid)
         np.greater(pre, 0.0, out=active)
@@ -399,14 +389,14 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
             theta -= grad
     else:
         # The budget ran out after an update: report the returned weights.
-        mse = forward_mse()
-    for r in np.flatnonzero(live):
-        kept[r], final[r] = theta[starts[r] : starts[r + 1]], mse if solo else mse[r]
+        values = forward_mse().tolist()
+        for r in live:
+            kept[r] = (values[r], theta[starts[r] : starts[r + 1]], config.steps)
 
     outcomes = []
-    for r, (width, _, _) in enumerate(members):
-        params = _param_views(kept[r], width, in_dim, out_dim, unbiased)
-        outcomes.append((float(final[r]), params, None if trail is None else trail[: ran[r], r]))
+    for r, ((width, _, _), (mse, weights, ran)) in enumerate(zip(members, kept)):
+        params = _param_views(weights, width, in_dim, out_dim, unbiased)
+        outcomes.append((mse, params, None if trail is None else trail[:ran, r]))
     return outcomes
 
 
@@ -420,12 +410,11 @@ def fit_regressions(
     The configs may differ only in ``width`` and ``seed``. Every
     (config, restart) pair is a member of a stack that trains side by side
     (``_fit_stack``); members join a stack while merged rows x the sum of
-    their widths stays within ``STACK_BUDGET``. Each config then keeps the
-    best finite restart by (mse, restart index), walking its restarts in
-    order and stopping at the first that meets the target; restarts after
-    that one are dropped, or not run when they fall in a later stack. Pass
-    one list per config as ``curves`` to collect its (restart, step, mse)
-    rows.
+    their widths stays within ``STACK_BUDGET``. Restarts come back in order,
+    and each config keeps the best finite one by (mse, restart index) until
+    one meets the target; restarts after that one are dropped, or not run
+    when they fall in a later stack. Pass one list per config as ``curves``
+    to collect its (restart, step, mse) rows.
     """
     u = as_matrix(np.atleast_2d(np.asarray(inputs, dtype=np.float64)), "inputs")
     t = np.asarray(targets, dtype=np.float64)
@@ -444,7 +433,7 @@ def fit_regressions(
     denom = u.shape[0] * t.shape[1]
     u, t, weight = _merge_repeated_rows(u, t)
 
-    outcomes, decided = {}, set()
+    best, decided = [None] * len(configs), set()
     pending = [(c, r) for c in range(len(configs)) for r in range(configs[c].restarts)][::-1]
     while pending:
         chunk, load = [], 0
@@ -461,30 +450,23 @@ def fit_regressions(
             break
         members = [(configs[c].width, configs[c].seed, r) for c, r in chunk]
         stack = _fit_stack(u, t, weight, denom, configs[0], members, unbiased, curves is not None)
-        for (c, r), outcome in zip(chunk, stack):
-            outcomes[c, r] = outcome
-            if outcome[0] <= configs[c].target_mse:
+        for (c, r), (mse, params, trail) in zip(chunk, stack):
+            if c in decided:
+                continue
+            if curves is not None:
+                curves[c].extend((r, step, v) for step, v in enumerate(trail.tolist()))
+            if math.isfinite(mse) and (best[c] is None or mse < best[c][0]):
+                best[c] = (mse, params)
+            if mse <= configs[c].target_mse:
                 decided.add(c)
 
     results = []
-    for c, config in enumerate(configs):
-        best = None
-        for restart in range(config.restarts):
-            mse, params, trail = outcomes[c, restart]
-            if curves is not None:
-                curves[c].extend((restart, step, float(v)) for step, v in enumerate(trail))
-            if not math.isfinite(mse):
-                continue
-            if best is None or mse < best[0]:
-                best = (mse, params)
-            if best[0] <= config.target_mse:
-                break
-        if best is None:
-            results.append(None)
-            continue
-        w1, b1, w2, b2 = best[1]
-        layers = (LayerSpec(w1, b1), LayerSpec(w2, b2))
-        results.append((NetworkSpec(layers, ActivationSpec.relu(), unbiased=unbiased), best[0]))
+    for fit in best:
+        if fit is not None:
+            mse, (w1, b1, w2, b2) = fit
+            layers = (LayerSpec(w1, b1), LayerSpec(w2, b2))
+            fit = (NetworkSpec(layers, ActivationSpec.relu(), unbiased=unbiased), mse)
+        results.append(fit)
     return results
 
 

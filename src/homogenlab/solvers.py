@@ -701,6 +701,8 @@ def robustness_scan(
     of ``check_positive_homogeneity``; it is called through ``map_rows``."""
     a = as_matrix(a, "measurement matrix")
     x = as_vector(x, "signal")
+    if x.size != a.shape[1]:
+        raise ValueError(f"signal length {x.size} does not match {a.shape[1]} columns")
     levels = [float(v) for v in noise_levels]
     if not levels:
         raise ValueError("need at least one noise level")

@@ -96,6 +96,8 @@ REJECTED_NUMBERS = [
     ["probe-homogeneity", "--in", "{net}", "--seed", "1", "--out", "{out}", "--scales", "1,inf"],
     ["robustness", "--net", "{net}", "--in", "{a}", "--x", "1,0,0", "--seed", "1", "--out", "{out}",
      "--levels", "0.1,nan"],
+    ["robustness", "--net", "{net}", "--in", "{a}", "--levels", "0.1", "--seed", "1", "--out", "{out}",
+     "--x", "1,0"],
     ["ista", "--in", "{a}", "--y", "1,0", "--iters", "2", "--out", "{out}", "--lam", "inf"],
     ["ista", "--in", "{a}", "--y", "1,0", "--lam", "0.1", "--iters", "2", "--out", "{out}",
      "--step-bound", "nan"],
@@ -119,7 +121,7 @@ def test_non_finite_or_out_of_range_number_exits_one(tmp_path, monkeypatch, caps
         raise AssertionError("ran on a rejected number")
 
     for target in (solvers, experiments, network):
-        for name in ("solve", "fit_regression", "build_inverse_recovery_net", "evaluate"):
+        for name in ("solve", "fit_regression", "fit_regressions", "build_inverse_recovery_net", "evaluate"):
             if hasattr(target, name):
                 monkeypatch.setattr(target, name, must_not_run)
     a_path, net_path, out = tmp_path / "a.csv", tmp_path / "net.json", tmp_path / "out.csv"
@@ -138,6 +140,15 @@ def test_recovery_sparsity_out_of_range_named(tmp_path, capsys, s):
     argv = ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--s", s]
     assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"error: sparsity {s} out of range [1, 6]\n"
+
+
+def test_robustness_signal_length_named(tmp_path, capsys):
+    a_path, net_path = tmp_path / "a.csv", tmp_path / "net.json"
+    write_matrix_csv(a_path, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.5]]), "test", {})
+    save_net(net_path, unbiased_relu_net([np.ones((3, 2)), np.ones((1, 3))]))
+    argv = ["robustness", "--net", str(net_path), "--in", str(a_path), "--x", "1,0", "--levels", "0.1"]
+    assert run(argv + ["--seed", "1", "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "error: signal length 2 does not match 3 columns\n"
 
 
 class TestPrintedValues:

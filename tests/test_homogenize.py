@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -198,6 +199,19 @@ class TestMcshaneExtension:
     def test_inconsistent_samples_rejected_with_pair(self):
         with pytest.raises(ValueError, match="0 and 1"):
             mcshane_extend(np.array([[0.0], [1.0]]), np.array([0.0, 5.0]), 1.0)
+
+    @pytest.mark.parametrize("lip", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_non_finite_or_non_positive_constant_rejected(self, lip):
+        with pytest.raises(ValueError, match="positive finite"):
+            mcshane_extend(np.array([[0.0], [2.0]]), np.array([0.0, 2.0]), lip)
+
+    def test_value_count_checked_by_minimal_constant(self):
+        with pytest.raises(ValueError, match="3 values for 2 points"):
+            minimal_consistent_lipschitz(np.array([[0.0], [1.0]]), np.array([0.0, 1.0, 2.0]))
+
+    def test_non_finite_values_rejected_by_minimal_constant(self):
+        with pytest.raises(ValueError, match="values contains non-finite"):
+            minimal_consistent_lipschitz(np.array([[0.0], [1.0]]), np.array([0.0, np.nan]))
 
     def test_vector_valued(self, rng):
         pts = rng.standard_normal((6, 2))
@@ -440,18 +454,37 @@ class TestStackedFits:
         t = np.abs(u) @ rng.standard_normal((3, out_dim))
         return u, (t[:, 0] if out_dim == 1 else t)
 
-    @pytest.mark.parametrize("out_dim, unbiased", [(1, False), (4, True)], ids=["biased-1", "unbiased-4"])
-    def test_gd_widths_match_reference_loop_bitwise(self, rng, out_dim, unbiased):
-        u, t = self.data(rng, out_dim)
-        configs = [
-            FitConfig(width=w, learning_rate=0.3, steps=200, restarts=2, seed=9 + w) for w in (1, 3, 8, 16)
-        ]
+    @staticmethod
+    def assert_match_reference_bitwise(u, t, configs, unbiased):
         curves = [[] for _ in configs]
         fits = fit_regressions(u, t, configs, unbiased=unbiased, curves=curves)
         for cfg, fitted, curve in zip(configs, fits, curves):
             weights, ref_mse, ref_curve = reference_fit(u, t, cfg, unbiased)
             assert_fit_equal(fitted, (weights, ref_mse))
             assert np.array_equal(np.array(curve), np.array(ref_curve))
+
+    # At one restart each width is a run of one member inside a stack of four.
+    @pytest.mark.parametrize(
+        "out_dim, unbiased, restarts",
+        [(1, False, 2), (4, True, 2), (1, False, 1), (4, True, 1)],
+        ids=["biased-1", "unbiased-4", "biased-1-restarts-1", "unbiased-4-restarts-1"],
+    )
+    def test_gd_widths_match_reference_loop_bitwise(self, rng, out_dim, unbiased, restarts):
+        u, t = self.data(rng, out_dim)
+        configs = [
+            FitConfig(width=w, learning_rate=0.3, steps=200, restarts=restarts, seed=9 + w)
+            for w in (1, 3, 8, 16)
+        ]
+        self.assert_match_reference_bitwise(u, t, configs, unbiased)
+
+    @pytest.mark.parametrize("out_dim, unbiased", [(1, False), (4, True)], ids=["biased-1", "unbiased-4"])
+    def test_run_of_two_then_run_of_one_match_reference_bitwise(self, rng, out_dim, unbiased):
+        u, t = self.data(rng, out_dim)
+        configs = [
+            FitConfig(width=w, learning_rate=0.3, steps=200, restarts=1, seed=s)
+            for w, s in ((3, 4), (3, 5), (8, 6))
+        ]
+        self.assert_match_reference_bitwise(u, t, configs, unbiased)
 
     def test_adam_keeps_the_sequential_restart_rule(self, rng):
         u, t = self.data(rng, 1)
