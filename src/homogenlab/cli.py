@@ -385,33 +385,20 @@ def _cmd_lowrank_rip(args):
     return 0
 
 
-#: The parameter flag of each solve variant; ``solvers.<variant>`` makes
-#: its problem.
-_SOLVE_PARAMETERS = {"qcbp": "eta", "bpdn": "lam", "lasso": "tau", "dantzig": "eta"}
-
-
 def _cmd_solve(args):
-    a = read_matrix_csv(args.infile)
-    flag = _SOLVE_PARAMETERS[args.variant]
+    flag = solvers.PARAMETERS[args.variant]
+    for other in sorted(set(solvers.PARAMETERS.values()) - {flag}):
+        if getattr(args, other) is not None:
+            raise ValueError(f"{args.variant} takes --{flag}, not --{other}")
     parameter = getattr(args, flag)
     if parameter is None:
         raise ValueError(f"{args.variant} needs --{flag}")
+    a = read_matrix_csv(args.infile)
     problem = getattr(solvers, args.variant)(a, np.array(args.y), parameter)
     report = solvers.solve(problem, solvers.SolveConfig(max_iters=args.max_iters, tol=args.tol))
-    header = ("objective", "primal_residual", "dual_residual", "iterations", "converged", "uniqueness") + tuple(
-        f"z{i}" for i in range(report.solution.size)
-    )
-    rows = [
-        (
-            report.objective,
-            report.primal_residual,
-            report.dual_residual,
-            report.iterations,
-            report.converged,
-            report.uniqueness,
-        )
-        + tuple(report.solution)
-    ]
+    fields = ("objective", "primal_residual", "dual_residual", "iterations", "converged", "uniqueness")
+    header = fields + tuple(f"z{i}" for i in range(report.solution.size))
+    rows = [tuple(getattr(report, field) for field in fields) + tuple(report.solution)]
     if args.out:
         write_csv(args.out, "solve", _config(args), header, rows)
     print(
@@ -419,9 +406,7 @@ def _cmd_solve(args):
         f"objective={format_cell(report.objective)} iterations={report.iterations} "
         f"converged={str(report.converged).lower()} uniqueness={report.uniqueness}"
     )
-    if not report.converged:
-        return 2
-    return 0
+    return 0 if report.converged else 2
 
 
 def _step_bound(args, a) -> float:

@@ -134,8 +134,8 @@ def radial_extend_l2(f_on_sphere: Callable) -> Callable:
 
 def _pairwise_gaps(points, values):
     """Checked samples: points as (N, d) rows (a 1-D array is N scalars),
-    values as (N, p) rows (a 1-D array is N scalars), both finite, with their
-    pairwise l2 distances and largest per-coordinate value gaps."""
+    values as (N, p) rows (a 1-D array is N scalars), both finite, N >= 1,
+    with their pairwise l2 distances and largest per-coordinate value gaps."""
     u = np.asarray(points, dtype=np.float64)
     if u.ndim == 1:
         u = u[:, None]
@@ -146,6 +146,8 @@ def _pairwise_gaps(points, values):
     v = as_matrix(v, "values")
     if v.shape[0] != u.shape[0]:
         raise ValueError(f"{v.shape[0]} values for {u.shape[0]} points")
+    if not u.shape[0]:
+        raise ValueError("need at least one sample")
     dists = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=2)
     gaps = np.abs(v[:, None, :] - v[None, :, :]).max(axis=2)
     return u, v, dists, gaps

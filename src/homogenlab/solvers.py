@@ -19,10 +19,14 @@ et al. 2020, "OSQP: an operator splitting solver for quadratic programs",
 section 5.2), and stops on the polished pair once one PDHG step from it
 passes the stopping test.
 
-Each converged solution can be re-checked by an independent verifier built on
-feasibility plus a dual certificate (a scaled subgradient condition). The
-lasso residual is minimized through its square, which has the same
-minimizers; reports print the plain residual.
+Each program is min f(z) + g(K z - c) with one parameter (``PARAMETERS``):
+f is the l1 norm, lam times it (bpdn) or the indicator of the tau ball
+(lasso); g is the squared l2 norm (bpdn, lasso) or the indicator of the eta
+ball; K z - c is A z - y, or A^T (A z - y) for dantzig. The lasso residual is
+minimized through its square, which has the same minimizers; reports print
+the plain residual. Each converged solution can be re-checked by an
+independent verifier built on feasibility plus the Fenchel duality gap of a
+supplied dual.
 
 Every report also classifies the minimizer from the returned primal-dual
 pair (Fuchs 2004; Zhang, Yin & Cheng 2015): rank-deficient columns on the
@@ -71,17 +75,20 @@ def _measurement(a, y) -> tuple[np.ndarray, np.ndarray]:
     return a, y
 
 
+#: The parameter each program reads, by the name of its CLI flag.
+PARAMETERS = {"qcbp": "eta", "bpdn": "lam", "lasso": "tau", "dantzig": "eta"}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One of the four recovery programs; build instances via the
-    qcbp/bpdn/lasso/dantzig helpers."""
+    """One of the four recovery programs, min f(z) + g(K z - c), with its one
+    parameter (``PARAMETERS``); build instances via the qcbp/bpdn/lasso/dantzig
+    helpers."""
 
     variant: str
     a: np.ndarray
     y: np.ndarray
-    eta: float | None = None
-    lam: float | None = None
-    tau_budget: float | None = None
+    parameter: float
 
     def __post_init__(self):
         a, y = _measurement(self.a, self.y)
@@ -91,43 +98,39 @@ class ProblemSpec:
         object.__setattr__(self, "y", y)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.variant in ("qcbp", "dantzig"):
-            if self.eta is None or not 0 <= self.eta < math.inf:
-                raise ValueError("eta must be a non-negative finite number")
+        t = float(self.parameter)
+        object.__setattr__(self, "parameter", t)
+        if not (0 < t < math.inf or t == 0 and self.variant != "bpdn"):
+            sign = "positive" if self.variant == "bpdn" else "non-negative"
+            raise ValueError(f"{PARAMETERS[self.variant]} must be a {sign} finite number")
         if self.variant == "qcbp":
             # Infeasible iff y is farther than eta from range(A); the slack
             # absorbs round-off in the least-squares residual (eta = 0).
             coeffs = np.linalg.lstsq(a, y, rcond=None)[0]
             r = a @ coeffs - y
             gap = math.sqrt(r @ r)
-            if gap > self.eta + RANK_TOLERANCE * (1.0 + math.sqrt(y @ y)):
+            if gap > t + RANK_TOLERANCE * (1.0 + math.sqrt(y @ y)):
                 raise ValueError(
-                    f"qcbp is infeasible: y lies {gap:.6g} from the range of A, eta is {self.eta:.6g}"
+                    f"qcbp is infeasible: y lies {gap:.6g} from the range of A, eta is {t:.6g}"
                 )
-        if self.variant == "bpdn" and (self.lam is None or not 0 < self.lam < math.inf):
-            raise ValueError("lambda must be a positive finite number")
-        if self.variant == "lasso" and (
-            self.tau_budget is None or not 0 <= self.tau_budget < math.inf
-        ):
-            raise ValueError("tau budget must be a non-negative finite number")
         if self.variant == "dantzig" and numerical_rank(a) != a.shape[0]:
             raise ValueError("dantzig requires a matrix of full row rank")
 
 
 def qcbp(a, y, eta: float) -> ProblemSpec:
-    return ProblemSpec("qcbp", a, y, eta=float(eta))
+    return ProblemSpec("qcbp", a, y, eta)
 
 
 def bpdn(a, y, lam: float) -> ProblemSpec:
-    return ProblemSpec("bpdn", a, y, lam=float(lam))
+    return ProblemSpec("bpdn", a, y, lam)
 
 
 def lasso(a, y, tau_budget: float) -> ProblemSpec:
-    return ProblemSpec("lasso", a, y, tau_budget=float(tau_budget))
+    return ProblemSpec("lasso", a, y, tau_budget)
 
 
 def dantzig(a, y, eta: float) -> ProblemSpec:
-    return ProblemSpec("dantzig", a, y, eta=float(eta))
+    return ProblemSpec("dantzig", a, y, eta)
 
 
 @dataclass(frozen=True)
@@ -176,53 +179,53 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(mag - theta, 0.0)
 
 
+def _data_term(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(K, c) of the data term g(K z - c): (A, y), or (A^T A, A^T y) for
+    dantzig."""
+    a, y = problem.a, problem.y
+    if problem.variant == "dantzig":
+        return a.T @ a, a.T @ y
+    return a, y
+
+
 def objective_value(problem: ProblemSpec, z) -> float:
     z = as_vector(z, "solution")
     resid = problem.a @ z - problem.y
-    if problem.variant == "qcbp" or problem.variant == "dantzig":
-        return float(np.abs(z).sum())
+    if problem.variant == "lasso":
+        return float(np.linalg.norm(resid))
+    l1 = float(np.abs(z).sum())
     if problem.variant == "bpdn":
-        return problem.lam * float(np.abs(z).sum()) + float(resid @ resid)
-    return float(np.linalg.norm(resid))
+        return problem.parameter * l1 + float(resid @ resid)
+    return l1
 
 
 def _variant_operators(problem: ProblemSpec):
-    """(K, prox of the primal term, prox of the conjugate data term), on the
-    arrays ``ProblemSpec`` validated."""
-    a, y = problem.a, problem.y
-    if problem.variant == "qcbp":
-        k = a
-        prox_primal = soft_threshold_unchecked
+    """(K, prox of f, prox of the conjugate g*) of the program, on the arrays
+    ``ProblemSpec`` validated."""
+    k, c = _data_term(problem)
+    t = problem.parameter
+    if problem.variant == "lasso":
 
-        def prox_dual(u, s):
-            return u - s * project_l2_ball_unchecked(u / s, y, problem.eta)
+        def prox_primal(z, step):
+            return _project_l1_ball(z, t)
 
     elif problem.variant == "bpdn":
-        k = a
-        lam = problem.lam
 
-        def prox_primal(z, t):
-            return soft_threshold_unchecked(z, t * lam)
+        def prox_primal(z, step):
+            return soft_threshold_unchecked(z, step * t)
 
-        def prox_dual(u, s):
-            return 2.0 * (u - s * y) / (s + 2.0)
-
-    elif problem.variant == "lasso":
-        k = a
-
-        def prox_primal(z, t):
-            return _project_l1_ball(z, problem.tau_budget)
-
-        def prox_dual(u, s):
-            return 2.0 * (u - s * y) / (s + 2.0)
-
-    else:  # dantzig
-        k = a.T @ a
-        center = a.T @ y
+    else:  # weight 1: the step is the threshold
         prox_primal = soft_threshold_unchecked
+    if problem.variant in ("bpdn", "lasso"):
 
         def prox_dual(u, s):
-            return u - s * project_linf_ball_unchecked(u / s, center, problem.eta)
+            return 2.0 * (u - s * c) / (s + 2.0)
+
+    else:
+        project = project_l2_ball_unchecked if problem.variant == "qcbp" else project_linf_ball_unchecked
+
+        def prox_dual(u, s):
+            return u - s * project(u / s, c, t)
 
     return k, prox_primal, prox_dual
 
@@ -260,7 +263,7 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
     """
     k, prox_primal, prox_dual = _variant_operators(problem)
     step = 0.95 / max(matrix_norm(k, "spectral"), 1e-30)
-    p_tol = config.tol * min(1.0, problem.lam) if problem.variant == "bpdn" else config.tol
+    p_tol = config.tol * min(1.0, problem.parameter) if problem.variant == "bpdn" else config.tol
     kt = k.T
     omega = 1.0
     tau = sigma = step
@@ -338,11 +341,11 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
     three programs share z_S = x - m G^-1 s: bpdn with m = lam / 2; lasso
     with m = mu / 2 > 0 putting z on the budget, or m = 0 when the budget
     is inactive, x has the signs s and A has full column rank; qcbp with
-    m = t putting A z - y on the eta sphere. Dantzig solves the active rows T of the dual
-    (|T| = |S|) against the rows and columns S of K = A^T A. The caller
-    checks the pair with one PDHG step before trusting it.
+    m > 0 putting A z - y on the eta sphere. Dantzig solves the active rows T
+    of the dual (|T| = |S|) against the rows and columns S of K = A^T A. The
+    caller checks the pair with one PDHG step before trusting it.
     """
-    a, y = problem.a, problem.y
+    a, y, t = problem.a, problem.y, problem.parameter
     support = np.flatnonzero(z)
     # More columns than rows make G singular, which rounding can hide from
     # np.linalg.solve.
@@ -355,11 +358,9 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
             active = np.flatnonzero(np.abs(u) > _DUAL_ROUNDING * np.abs(u).max())
             if active.size != support.size:
                 return None
-            k = a.T @ a
+            k, c = _data_term(problem)
             dual = np.zeros_like(u)
-            polished[support] = np.linalg.solve(
-                k[np.ix_(active, support)], (a.T @ y)[active] + problem.eta * np.sign(u[active])
-            )
+            polished[support] = np.linalg.solve(k[np.ix_(active, support)], c[active] + t * np.sign(u[active]))
             dual[active] = np.linalg.solve(k[np.ix_(support, active)], -sign)
             return polished, dual
         a_s = a[:, support]
@@ -367,9 +368,9 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
     except np.linalg.LinAlgError:
         return None
     if problem.variant == "bpdn":
-        m = 0.5 * problem.lam
+        m = 0.5 * t
     elif problem.variant == "lasso":
-        m = (sign @ x_ls - problem.tau_budget) / (sign @ g_sign)
+        m = (sign @ x_ls - t) / (sign @ g_sign)
         if not m > 0:
             # An inactive budget leaves the least-squares fit on S, which
             # solves the lasso when its signs are s and A has full column
@@ -381,7 +382,7 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
     else:  # qcbp
         r0 = a_s @ x_ls - y
         v = a_s @ g_sign
-        slack = problem.eta**2 - r0 @ r0
+        slack = t**2 - r0 @ r0
         if not slack > 0:
             return None
         m = math.sqrt(slack / (v @ v))
@@ -413,7 +414,7 @@ def _uniqueness(problem: ProblemSpec, z: np.ndarray, u: np.ndarray, tol: float) 
         return "unique"
     if problem.variant not in ("qcbp", "bpdn"):
         return "undetermined"
-    bound = 1.0 if problem.variant == "qcbp" else problem.lam
+    bound = 1.0 if problem.variant == "qcbp" else problem.parameter
     off = np.abs(a[:, ~support].T @ u)
     if off.size and float(off.max()) >= bound * (1.0 - cut):
         return "undetermined"
@@ -438,71 +439,51 @@ def solve(problem: ProblemSpec, config: SolveConfig = SolveConfig()) -> SolveRep
     )
 
 
+#: What each constrained program bounds by its parameter: (name, its value
+#: at z given A and the residual r = A z - y).
+_CONSTRAINTS = {
+    "qcbp": ("||Az - y||_2", lambda a, z, r: float(np.linalg.norm(r))),
+    "lasso": ("||z||_1", lambda a, z, r: float(np.abs(z).sum())),
+    "dantzig": ("||A^T(Az - y)||_inf", lambda a, z, r: float(np.abs(a.T @ r).max(initial=0.0))),
+}
+
+
 def verify_optimality(problem: ProblemSpec, solution, dual, tol: float) -> list[str]:
-    """Independent optimality check: primal feasibility plus a duality-gap
-    certificate built from the supplied dual vector (scaled into the dual
-    feasible set first). Returns human-readable violations; empty means the
+    """Independent optimality check: primal feasibility plus the Fenchel
+    duality gap of min f(z) + g(K z - c) at the supplied dual u,
+    f(z) + g(K z - c) + u.c + g*(u) + f*(-K^T u). For the l1 objectives u is
+    first scaled into the set where f* is zero; the lasso is checked on its
+    squared residual. Returns human-readable violations; empty means the
     point passes at tolerance ``tol``."""
     z = as_vector(solution, "solution")
     u = as_vector(dual, "dual")
-    a, y = problem.a, problem.y
-    resid = a @ z - y
+    variant, t = problem.variant, problem.parameter
+    k, c = _data_term(problem)
+    resid = problem.a @ z - problem.y
     violations = []
-    scale = 1.0 + abs(objective_value(problem, z))
-
-    if problem.variant == "qcbp":
-        feas = float(np.linalg.norm(resid)) - problem.eta
+    if variant in _CONSTRAINTS:
+        name, measure = _CONSTRAINTS[variant]
+        feas = measure(problem.a, z, resid) - t
         if feas > tol:
-            violations.append(f"infeasible: ||Az - y||_2 exceeds eta by {feas:.3e}")
-        atu = a.T @ u
-        sub = float(np.max(np.abs(atu))) if atu.size else 0.0
-        if sub > 1.0 + tol:
-            violations.append(f"dual subgradient bound violated: ||A^T u||_inf = {sub:.6f}")
-        u_feas = u / max(1.0, sub)
-        gap = objective_value(problem, z) - (
-            -float(u_feas @ y) - problem.eta * float(np.linalg.norm(u_feas))
-        )
-        if gap > tol * scale:
-            violations.append(f"duality gap {gap:.3e} above {tol * scale:.3e}")
-    elif problem.variant == "bpdn":
-        atu = a.T @ u
-        sub = float(np.max(np.abs(atu))) if atu.size else 0.0
-        if sub > problem.lam * (1.0 + tol):
-            violations.append(f"dual subgradient bound violated: ||A^T u||_inf = {sub:.6f}")
-        u_feas = u / max(1.0, sub / problem.lam)
-        gap = objective_value(problem, z) - (-float(u_feas @ y) - float(u_feas @ u_feas) / 4.0)
-        if gap > tol * scale:
-            violations.append(f"duality gap {gap:.3e} above {tol * scale:.3e}")
-    elif problem.variant == "lasso":
-        feas = float(np.abs(z).sum()) - problem.tau_budget
-        if feas > tol:
-            violations.append(f"infeasible: ||z||_1 exceeds tau by {feas:.3e}")
-        atu = a.T @ u
-        primal_sq = float(resid @ resid)
-        dual_val = (
-            -float(u @ y)
-            - float(u @ u) / 4.0
-            - problem.tau_budget * (float(np.max(np.abs(atu))) if atu.size else 0.0)
-        )
-        gap = primal_sq - dual_val
-        if gap > tol * (1.0 + primal_sq):
-            violations.append(f"duality gap {gap:.3e} above {tol * (1.0 + primal_sq):.3e}")
-    else:  # dantzig
-        w = a.T @ resid
-        feas = (float(np.max(np.abs(w))) if w.size else 0.0) - problem.eta
-        if feas > tol:
-            violations.append(f"infeasible: ||A^T(Az - y)||_inf exceeds eta by {feas:.3e}")
-        k = a.T @ a
-        ku = k @ u
-        sub = float(np.max(np.abs(ku))) if ku.size else 0.0
-        if sub > 1.0 + tol:
-            violations.append(f"dual subgradient bound violated: ||A^T A u||_inf = {sub:.6f}")
-        u_feas = u / max(1.0, sub)
-        gap = objective_value(problem, z) - (
-            -float(u_feas @ (a.T @ y)) - problem.eta * float(np.abs(u_feas).sum())
-        )
-        if gap > tol * scale:
-            violations.append(f"duality gap {gap:.3e} above {tol * scale:.3e}")
+            violations.append(f"infeasible: {name} exceeds {PARAMETERS[variant]} by {feas:.3e}")
+    sub = float(np.abs(k.T @ u).max(initial=0.0))
+    if variant == "lasso":
+        primal, f_conj = float(resid @ resid), t * sub
+    else:
+        primal, f_conj = objective_value(problem, z), 0.0
+        bound = t if variant == "bpdn" else 1.0
+        if sub > bound * (1.0 + tol):
+            ktu = "A^T A u" if variant == "dantzig" else "A^T u"
+            violations.append(f"dual subgradient bound violated: ||{ktu}||_inf = {sub:.6f}")
+        u = u / max(1.0, sub / bound)
+    if variant in ("bpdn", "lasso"):
+        g_conj = float(u @ u) / 4.0
+    else:  # eta times the dual of the ball's norm: l2 for qcbp, l1 for dantzig
+        g_conj = t * float(np.linalg.norm(u) if variant == "qcbp" else np.abs(u).sum())
+    gap = primal - (-float(u @ c) - g_conj - f_conj)
+    scale = 1.0 + abs(primal)
+    if gap > tol * scale:
+        violations.append(f"duality gap {gap:.3e} above {tol * scale:.3e}")
     return violations
 
 

@@ -511,3 +511,14 @@ def test_solve_without_its_parameter_exits_one(cli_inputs, capsys, variant, flag
     assert run(["solve", "--variant", variant, "--in", str(cli_inputs / "a.csv"), "--y", "1,0"]) == 1
     assert capsys.readouterr().err == f"error: {variant} needs --{flag}\n"
 
+
+@pytest.mark.parametrize(
+    "variant, flag, other",
+    [("qcbp", "eta", "lam"), ("bpdn", "lam", "eta"), ("lasso", "tau", "eta"), ("dantzig", "eta", "tau")],
+)
+def test_solve_with_another_variants_parameter_exits_one(cli_inputs, capsys, variant, flag, other):
+    out = cli_inputs / "ignored.csv"
+    argv = ["solve", "--variant", variant, "--in", str(cli_inputs / "a.csv"), "--y", "1,0"]
+    assert run(argv + [f"--{flag}", "0.1", f"--{other}", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {variant} takes --{flag}, not --{other}\n"
+    assert not out.exists()

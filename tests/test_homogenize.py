@@ -209,6 +209,12 @@ class TestMcshaneExtension:
         with pytest.raises(ValueError, match="3 values for 2 points"):
             minimal_consistent_lipschitz(np.array([[0.0], [1.0]]), np.array([0.0, 1.0, 2.0]))
 
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            mcshane_extend(np.zeros((0, 2)), np.zeros(0), 1.0)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            minimal_consistent_lipschitz(np.zeros((0, 2)), np.zeros(0))
+
     def test_non_finite_values_rejected_by_minimal_constant(self):
         with pytest.raises(ValueError, match="values contains non-finite"):
             minimal_consistent_lipschitz(np.array([[0.0], [1.0]]), np.array([0.0, np.nan]))

@@ -161,6 +161,43 @@ class TestConvergence:
         assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
 
 
+VIOLATION_KINDS = ("infeasible", "dual subgradient bound violated", "duality gap")
+
+
+class TestVerifierRejects:
+    @pytest.mark.parametrize(
+        "variant, z_scale, u_scale, kinds",
+        [
+            ("qcbp", 0.5, 1.0, ["infeasible"]),
+            ("qcbp", 1.0, 3.0, ["dual subgradient bound violated"]),
+            ("qcbp", 1.1, 1.0, ["duality gap"]),
+            ("bpdn", 1.0, 3.0, ["dual subgradient bound violated"]),
+            ("bpdn", 1.1, 1.0, ["duality gap"]),
+            ("lasso", 2.0, 1.0, ["infeasible", "duality gap"]),
+            ("lasso", 0.5, 1.0, ["duality gap"]),
+            ("dantzig", 0.5, 1.0, ["infeasible"]),
+            ("dantzig", 1.0, 3.0, ["dual subgradient bound violated"]),
+            ("dantzig", 1.1, 1.0, ["duality gap"]),
+        ],
+        ids=[
+            "qcbp-infeasible", "qcbp-dual", "qcbp-gap", "bpdn-dual", "bpdn-gap",
+            "lasso-infeasible", "lasso-gap", "dantzig-infeasible", "dantzig-dual", "dantzig-gap",
+        ],
+    )
+    def test_perturbed_pair_is_named(self, variant, z_scale, u_scale, kinds):
+        # The first quality-set instance of each variant, solved, then its
+        # solution or dual scaled: 0.5 leaves the qcbp and dantzig
+        # constraints, 2 the lasso budget; 1.1 (0.5 for the lasso) stays
+        # feasible but off the minimum; a dual x3 leaves its bound.
+        problem = next(p for p in quality_set() if p.variant == variant)
+        report = solve(problem, SolveConfig(max_iters=20_000))
+        assert report.converged
+        assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
+        violations = verify_optimality(problem, z_scale * report.solution, u_scale * report.dual, 1e-7)
+        named = [next((k for k in VIOLATION_KINDS if v.startswith(k)), v) for v in violations]
+        assert named == kinds, violations
+
+
 class TestUniqueness:
     def test_solve_runs_the_engine_once(self, monkeypatch):
         calls = []
