@@ -43,6 +43,8 @@ class DirectionSet:
 
     def __post_init__(self):
         x = as_matrix(self.columns, "directions")
+        if not x.shape[1]:
+            raise ValueError("need at least one direction")
         norms = np.linalg.norm(x, axis=0)
         off = np.abs(norms - 1.0)
         if np.any(off > DIRECTION_TOL):

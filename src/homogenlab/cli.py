@@ -356,7 +356,7 @@ def _cmd_rip(args):
 def _cmd_conditioning(args):
     a = _matrix_from_args(args)
     n = a.shape[1]
-    sampler = experiments.sparse_signal_sampler(n, args.sparsity, cycle_basis=False)
+    sampler = experiments.sparse_signal_sampler(n, args.sparsity)
     report = bounds.empirical_conditioning(
         lambda x: x @ a.T, sampler, args.pairs, args.norm_ii, args.seed
     )
@@ -431,10 +431,11 @@ def _cmd_ista(args):
 
 
 def _cmd_lista(args):
-    a = read_matrix_csv(args.infile)
+    # A depth-0 net holds no matrix, so the measurement is checked against A here.
+    a, y = solvers.check_measurement(read_matrix_csv(args.infile), args.y)
     step_bound = _step_bound(args, a)
     net = solvers.lista_from_ista(a, args.lam, step_bound, args.depth)
-    final = solvers.lista_eval(net, np.array(args.y), np.zeros(a.shape[1]))
+    final = solvers.lista_eval(net, y, np.zeros(a.shape[1]))
     header = tuple(f"z{i}" for i in range(final.size))
     _print_or_write(args, "lista", _config(args, step_bound=step_bound), header, [tuple(final)])
     return 0

@@ -110,29 +110,14 @@ def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return a / np.linalg.norm(a, axis=0, keepdims=True)
 
 
-def sparse_signal_sampler(n: int, s: int, cycle_basis: bool | None = None):
-    """Seeded generator of unit-norm s-sparse signals.
-
-    With ``cycle_basis`` (the default for s = 1) the signed standard basis
-    vectors are cycled deterministically, so repeated draws weight a training
-    set evenly; otherwise supports and values come from the generator that is
-    passed in.
-    """
+def sparse_signal_sampler(n: int, s: int):
+    """Sampler of unit-norm s-sparse signals: each call draws a support and
+    its values from the generator it is passed, and keeps no state."""
     if not 1 <= s <= n:
         raise ValueError(f"sparsity {s} out of range [1, {n}]")
-    if cycle_basis is None:
-        cycle_basis = s == 1
-    if cycle_basis and s != 1:
-        raise ValueError("basis cycling only makes sense for 1-sparse signals")
-    state = {"i": 0}
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         x = np.zeros(n)
-        if cycle_basis:
-            i = state["i"]
-            state["i"] += 1
-            x[(i // 2) % n] = 1.0 if i % 2 == 0 else -1.0
-            return x
         support = np.sort(rng.choice(n, size=s, replace=False))
         vals = rng.standard_normal(s)
         vals /= np.linalg.norm(vals)
@@ -233,6 +218,8 @@ def recovery_experiment(
 
     The isometry constant of order min(2s, n) is verified exhaustively before
     any training; the run is rejected when it reaches ``rip_threshold``.
+    The net trains on ``num_signals`` rows: the signed basis, cycled, for
+    s = 1, and otherwise the sampler's draws from ``default_rng([seed, 101])``.
     Returns (matrix, net, rip report, rows).
     """
     levels = [float(v) for v in noise_levels]
@@ -251,21 +238,16 @@ def recovery_experiment(
         )
     if num_signals is None:
         num_signals = 10 * n if s == 1 else 12 * n
-    net = build_inverse_recovery_net(
-        a,
-        sampler,
-        fit,
-        num_signals=num_signals,
-        densify_points=densify_points,
-        curves=curves,
-    )
-
-    rows = [("zero", 0, 0.0, 0.0, 0.0, float(np.linalg.norm(evaluate(net, np.zeros(m)))))]
     if s == 1:
         exact = _signed_basis(n)
-    else:  # an s-sparse sampler with s > 1 keeps no state between draws
-        rng_cases = np.random.default_rng([fit.seed, 7])
+        signals = exact[np.arange(num_signals) % (2 * n)]
+    else:
+        rng_signals, rng_cases = (np.random.default_rng([fit.seed, k]) for k in (101, 7))
+        signals = np.array([sampler(rng_signals) for _ in range(num_signals)]).reshape(-1, n)
         exact = np.array([sampler(rng_cases) for _ in range(2 * n)])
+    net = build_inverse_recovery_net(a, signals, fit, densify_points=densify_points, curves=curves)
+
+    rows = [("zero", 0, 0.0, 0.0, 0.0, float(np.linalg.norm(evaluate(net, np.zeros(m)))))]
     # Row i of the approx and noisy blocks perturbs exact case i mod 2n.
     rng = np.random.default_rng([fit.seed, 8])
     approx = exact[np.arange(trials) % len(exact)] + 0.1 * rng.standard_normal((trials, n))

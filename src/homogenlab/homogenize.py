@@ -498,16 +498,15 @@ def fit_regression(
 
 def build_inverse_recovery_net(
     a,
-    signal_sampler: Callable[[np.random.Generator], np.ndarray],
+    signals,
     fit: FitConfig,
-    num_signals: int = 64,
     densify_points: int = 192,
     curves: dict[int, list] | None = None,
 ) -> NetworkSpec:
     """End-to-end construction of a bias-free two-hidden-layer relu network
-    approximately inverting x -> A x on the signals the sampler produces.
+    approximately inverting x -> A x on the (N, n) signal rows x_i.
 
-    Pipeline: draw signals x_i and measurements y_i = A x_i; form sphere pairs
+    Pipeline: measure y_i = A x_i; form sphere pairs
     (y_i / ||y_i||_1, x_i / ||y_i||_1); densify with the Lipschitz
     inf-extension at extra l1-sphere points, whose Lipschitz constant is the
     smallest one consistent with the data plus 5% headroom; fit one
@@ -516,30 +515,26 @@ def build_inverse_recovery_net(
     """
     a = as_matrix(a, "measurement matrix")
     m, n = a.shape
-    if num_signals < 1:
+    signals = as_matrix(signals, "signals")
+    if signals.shape[1] != n:
+        raise ValueError(f"signals have {signals.shape[1]} columns, expected {n}")
+    if not len(signals):
         raise ValueError("need at least one signal")
     if densify_points < 0:
         raise ValueError("densify points must be non-negative")
-    rng_signals = np.random.default_rng([fit.seed, 101])
-    dirs = []
-    vals = []
-    for _ in range(num_signals):
-        x = as_vector(signal_sampler(rng_signals), "sampled signal")
-        if x.size != n:
-            raise ValueError(f"sampled signal has length {x.size}, expected {n}")
-        y = a @ x
-        scale = float(np.abs(y).sum())
-        if scale == 0.0:
-            raise ValueError("signal in kernel of A")
-        dirs.append(y / scale)
-        vals.append(x / scale)
-    dirs = np.array(dirs)
-    vals = np.array(vals)
+    # Row i of the stacked (1, n) @ (n, m) products is a @ signals[i], bit for
+    # bit (as in numerics.row_norms); a plain signals @ a.T is not.
+    y = (signals[:, None, :] @ a.T)[:, 0]
+    scale = np.abs(y).sum(axis=1, keepdims=True)
+    if not scale.all():
+        raise ValueError(f"signal {int(np.argmin(scale))} in kernel of A")
+    dirs = y / scale
+    vals = signals / scale
 
     # The extension only needs distinct directions (contradictory repeats are
-    # rejected by its consistency check). Repeated draws stay in the training
+    # rejected by its consistency check). Repeated rows stay in the training
     # data; fit_regression merges them into weighted rows, so they still count
-    # once per draw in the objective.
+    # once per row in the objective.
     _, keep = np.unique(dirs.round(decimals=12), axis=0, return_index=True)
     keep.sort()
     anchor_dirs = dirs[keep]

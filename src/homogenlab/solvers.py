@@ -66,7 +66,7 @@ VARIANTS = ("qcbp", "bpdn", "lasso", "dantzig")
 SCREEN_RTOL = 1e-9
 
 
-def _measurement(a, y) -> tuple[np.ndarray, np.ndarray]:
+def check_measurement(a, y) -> tuple[np.ndarray, np.ndarray]:
     """Validated matrix and measurement, the measurement one entry per row."""
     a = as_matrix(a, "measurement matrix")
     y = as_vector(y, "measurement")
@@ -91,7 +91,7 @@ class ProblemSpec:
     parameter: float
 
     def __post_init__(self):
-        a, y = _measurement(self.a, self.y)
+        a, y = check_measurement(self.a, self.y)
         a.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -505,7 +505,7 @@ def brute_force_sparse_fit(
     rounding, so the screened residuals cannot rank them. For y = 0 every
     support ties and is refit, so the screen only adds to the cost.
     """
-    a, y = _measurement(a, y)
+    a, y = check_measurement(a, y)
     n = a.shape[1]
     if not 0 <= s <= n:
         raise ValueError(f"sparsity {s} out of range [0, {n}]")
@@ -555,7 +555,7 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int, x0=None) -> np.nda
     Returns the (iters + 1, n) array of iterates including the start. With
     L >= sigma_max(A)^2 the objective is non-increasing along the trajectory.
     """
-    a, y = _measurement(a, y)
+    a, y = check_measurement(a, y)
     _check_shrinkage(lam, step_bound)
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
@@ -573,7 +573,7 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int, x0=None) -> np.nda
 
 
 def ista_objective(a, y, lam: float, z) -> float:
-    a, y = _measurement(a, y)
+    a, y = check_measurement(a, y)
     resid = a @ as_vector(z) - y
     return lam * float(np.abs(z).sum()) + 0.5 * float(resid @ resid)
 

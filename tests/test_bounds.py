@@ -58,6 +58,10 @@ class TestOneLayerLowerBound:
         with pytest.raises(ValueError, match="norm"):
             DirectionSet(np.array([[1.0, 0.5], [0.0, 0.0]]))
 
+    def test_empty_direction_set_rejected(self):
+        with pytest.raises(ValueError, match="need at least one direction"):
+            DirectionSet(np.zeros((3, 0)))
+
 
 class TestUatNegative:
     def test_single_zero_slope(self):

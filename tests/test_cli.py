@@ -151,6 +151,24 @@ def test_robustness_signal_length_named(tmp_path, capsys):
     assert capsys.readouterr().err == "error: signal length 2 does not match 3 columns\n"
 
 
+def test_lista_depth_zero_checks_measurement_length(tmp_path, capsys):
+    # A depth-0 net holds no matrix; the length is checked against the CSV.
+    a_path = tmp_path / "a.csv"
+    write_matrix_csv(a_path, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.5]]), "test", {})
+    argv = ["lista", "--in", str(a_path), "--y", "1,2,3,4", "--lam", "0.1", "--depth", "0"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: measurement length 4 does not match 2 rows\n"
+
+
+def test_lower_bound_without_directions_exits_one(capsys):
+    assert run(["lower-bound", "--m", "1", "--identity-n", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one direction\n"
+
+
 class TestPrintedValues:
     def test_lower_bound_identity(self, capsys):
         assert run(["lower-bound", "--m", "2", "--identity-n", "4"]) == 0

@@ -4,6 +4,7 @@ import shlex
 import numpy as np
 import pytest
 
+from homogenlab import experiments
 from homogenlab.experiments import (
     IMPOSSIBILITY_HEADER,
     config_line,
@@ -71,25 +72,13 @@ class TestHelpers:
 
 
 class TestSampler:
-    def test_one_sparse_cycles_signed_basis(self):
-        sampler = sparse_signal_sampler(4, 1)
-        rng = np.random.default_rng(0)
-        draws = [sampler(rng) for _ in range(8)]
-        for j in range(4):
-            assert draws[2 * j][j] == 1.0
-            assert draws[2 * j + 1][j] == -1.0
-
     def test_random_mode_has_unit_norm_and_support(self):
-        sampler = sparse_signal_sampler(6, 2, cycle_basis=False)
+        sampler = sparse_signal_sampler(6, 2)
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = sampler(rng)
             assert np.count_nonzero(x) == 2
             assert np.linalg.norm(x) == pytest.approx(1.0)
-
-    def test_cycling_refused_for_larger_sparsity(self):
-        with pytest.raises(ValueError):
-            sparse_signal_sampler(6, 2, cycle_basis=True)
 
 
 class TestImpossibilityExperiment:
@@ -132,6 +121,46 @@ class TestRecoveryExperiment:
         fit = FitConfig(width=8, learning_rate=0.3, steps=10, restarts=1, seed=0)
         with pytest.raises(ValueError, match="RIP"):
             recovery_experiment(6, 4, 1, fit, [0.1], rip_threshold=0.05)
+
+    @staticmethod
+    def training_signals(monkeypatch, *args):
+        """The signal rows recovery_experiment hands to the pipeline."""
+
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def record_and_stop(a, signals, fit, **kwargs):
+            seen.append(signals)
+            raise Stop
+
+        monkeypatch.setattr(experiments, "build_inverse_recovery_net", record_and_stop)
+        with pytest.raises(Stop):
+            recovery_experiment(*args)
+        return seen[0]
+
+    def test_one_sparse_trains_on_cycled_signed_basis(self, monkeypatch):
+        fit = FitConfig(width=8, learning_rate=0.3, steps=10, restarts=1, seed=31)
+        signals = self.training_signals(monkeypatch, 6, 4, 1, fit, [0.1])
+        expected = np.zeros((60, 6))
+        for i in range(60):
+            expected[i, (i // 2) % 6] = 1.0 if i % 2 == 0 else -1.0
+        assert np.array_equal(signals, expected)
+
+    @pytest.mark.parametrize("seed", [48, 101])
+    def test_two_sparse_trains_on_ordered_sampler_draws(self, monkeypatch, seed):
+        fit = FitConfig(width=8, learning_rate=0.3, steps=10, restarts=1, seed=seed)
+        signals = self.training_signals(monkeypatch, 6, 5, 2, fit, [0.1])
+        sampler = sparse_signal_sampler(6, 2)
+        rng = np.random.default_rng([seed, 101])
+        assert np.array_equal(signals, np.array([sampler(rng) for _ in range(72)]))
+
+    @pytest.mark.parametrize("m, s, seed", [(4, 1, 31), (5, 2, 48)])
+    def test_no_training_signals_rejected(self, m, s, seed):
+        fit = FitConfig(width=8, learning_rate=0.3, steps=10, restarts=1, seed=seed)
+        with pytest.raises(ValueError, match="need at least one signal"):
+            recovery_experiment(6, m, s, fit, [0.1], num_signals=0)
 
     def test_curves_collected_per_coordinate(self):
         fit = FitConfig(width=8, learning_rate=0.3, steps=25, restarts=2, seed=552)

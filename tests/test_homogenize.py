@@ -550,20 +550,16 @@ class TestStackedFits:
             fit_regressions(u, t, [base, other])
 
 
+def cycled_signed_basis(n, count):
+    """count rows e_0, -e_0, e_1, -e_1, ..., cycling through the 2n of them."""
+    return np.tile(np.kron(np.eye(n), [[1.0], [-1.0]]), (count // (2 * n), 1))
+
+
 class TestInverseRecovery:
     def test_identity_map_one_sparse(self):
         n = 3
-        state = {"i": 0}
-
-        def sampler(rng):
-            i = state["i"]
-            state["i"] += 1
-            x = np.zeros(n)
-            x[(i // 2) % n] = 1.0 if i % 2 == 0 else -1.0
-            return x
-
         fit = FitConfig(width=32, learning_rate=0.4, steps=3000, restarts=2, seed=5, target_mse=1e-5)
-        net = build_inverse_recovery_net(np.eye(n), sampler, fit, num_signals=30, densify_points=48)
+        net = build_inverse_recovery_net(np.eye(n), cycled_signed_basis(n, 30), fit, densify_points=48)
         assert net.unbiased and net.depth == 2
         for j in range(n):
             for sign in (1.0, -1.0):
@@ -576,20 +572,53 @@ class TestInverseRecovery:
 
     def test_kernel_signal_rejected(self):
         a = np.array([[1.0, 0.0, 0.0]])
-
-        def sampler(rng):
-            return np.array([0.0, 1.0, 0.0])  # in ker(A)
-
+        signals = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # row 1 in ker(A)
         fit = FitConfig(width=4, learning_rate=0.2, steps=10, restarts=1, seed=0)
-        with pytest.raises(ValueError, match="kernel"):
-            build_inverse_recovery_net(a, sampler, fit, num_signals=2)
+        with pytest.raises(ValueError, match="signal 1 in kernel"):
+            build_inverse_recovery_net(a, signals, fit)
+
+    @pytest.mark.parametrize(
+        "signals, message",
+        [(np.ones((2, 3)), "3 columns, expected 2"), (np.zeros((0, 2)), "at least one signal")],
+        ids=["columns", "no-rows"],
+    )
+    def test_malformed_signals_rejected(self, signals, message):
+        fit = FitConfig(width=4, learning_rate=0.2, steps=10, restarts=1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            build_inverse_recovery_net(np.eye(2), signals, fit)
 
     def test_negative_densify_rejected(self):
         fit = FitConfig(width=4, learning_rate=0.2, steps=10, restarts=1, seed=0)
         with pytest.raises(ValueError, match="densify"):
-            build_inverse_recovery_net(
-                np.eye(2), lambda rng: np.array([1.0, 0.0]), fit, num_signals=2, densify_points=-1
-            )
+            build_inverse_recovery_net(np.eye(2), np.array([[1.0, 0.0]]), fit, densify_points=-1)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_anchor_directions_are_rowwise_measurements(self, monkeypatch, s):
+        # One stacked product measures every signal, and must give the bits
+        # of a @ x one row at a time.
+        class Stop(Exception):
+            pass
+
+        anchors = []
+
+        def record_and_stop(dirs, vals):
+            anchors.append((dirs, vals))
+            raise Stop
+
+        monkeypatch.setattr(homogenize, "minimal_consistent_lipschitz", record_and_stop)
+        rng = np.random.default_rng([s, 3])
+        a = gaussian_matrix(rng, 5, 8)
+        sampler = sparse_signal_sampler(8, s)
+        signals = np.array([sampler(rng) for _ in range(40)])
+        fit = FitConfig(width=4, learning_rate=0.2, steps=10, restarts=1, seed=0)
+        with pytest.raises(Stop):
+            build_inverse_recovery_net(a, signals, fit)
+        scales = [float(np.abs(a @ x).sum()) for x in signals]
+        expected_dirs = np.array([(a @ x) / scale for x, scale in zip(signals, scales)])
+        expected_vals = np.array([x / scale for x, scale in zip(signals, scales)])
+        [(dirs, vals)] = anchors
+        assert np.array_equal(dirs, expected_dirs)
+        assert np.array_equal(vals, expected_vals)
 
     @pytest.mark.parametrize("seed", [552, 31])
     def test_single_lift_matches_stacked_per_coordinate_lifts(self, monkeypatch, seed):
@@ -603,9 +632,7 @@ class TestInverseRecovery:
         monkeypatch.setattr(homogenize, "fit_regression", recording_fit)
         a = gaussian_matrix(np.random.default_rng([seed, 0]), 4, 6)
         fit = FitConfig(width=16, learning_rate=0.4, steps=200, restarts=2, seed=seed, target_mse=2e-5)
-        net = build_inverse_recovery_net(
-            a, sparse_signal_sampler(6, 1), fit, num_signals=60, densify_points=96
-        )
+        net = build_inverse_recovery_net(a, cycled_signed_basis(6, 60), fit, densify_points=96)
         assert len(fits) == 6
         assert serialize(net) == serialize(stacked_lifts_reference(fits))
 
