@@ -2,10 +2,10 @@
 
 Covers the one-hidden-layer reconstruction lower bound over a union of lines,
 the hard-instance matrix and bound for scale-invariant approximation by
-one-hidden-layer relu nets, exhaustive restricted-isometry constants,
-sampled generalized-RIP intervals for rank-constrained measurements, the
-Eckart-Young truncation gap, and sampled expansion/contraction estimates
-(tau, rho) of a forward map.
+one-hidden-layer relu nets, exhaustive restricted-isometry constants, the
+quadratic and phase-retrieval forward operators with sampled generalized-RIP
+intervals for rank-constrained measurements, the Eckart-Young truncation gap,
+and sampled expansion/contraction estimates (tau, rho) of a forward map.
 
 The sampled estimates take all their draws up front, in the order a
 per-draw loop would, and evaluate them as stacked array operations; a
@@ -250,13 +250,35 @@ def empirical_conditioning(
     )
 
 
+def lowrank_forward(a, x) -> np.ndarray:
+    """Quadratic measurement map of a square matrix: component j is
+    row_j(A) X row_j(A)^T. An (S, n, n) stack of matrices maps to (S, m)."""
+    a = as_matrix(a, "measurement matrix")
+    x = np.asarray(x, dtype=np.float64)
+    n = a.shape[1]
+    if x.ndim > 3 or x.shape[-2:] != (n, n):
+        raise ValueError(f"matrix signal must be {n}x{n} or a stack of them, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("matrix signal contains non-finite entries")
+    return np.einsum("jk,...kl,jl->...j", a, x, a)
+
+
+def phase_retrieval_forward(a, x) -> np.ndarray:
+    """Componentwise squared measurements |A x|^2; invariant under x -> -x and
+    identical to the quadratic map applied to x x^T."""
+    a = as_matrix(a, "measurement matrix")
+    x = as_vector(x, "signal")
+    if x.size != a.shape[1]:
+        raise ValueError(f"signal length {x.size} does not match {a.shape[1]} columns")
+    z = a @ x
+    return z * z
+
+
 def lowrank_rip_sample(a, r: int, num_samples: int, seed: int) -> tuple[float, float]:
     """Sampled isometry interval of the rank-constrained quadratic measurement
     map: draws unit-Frobenius matrices of rank <= 2r (normalized products of
     Gaussian factors, all samples in one draw), evaluates (1/m) ||A(X)||_1,
     and returns (1 - min observed, max observed - 1)."""
-    from .solvers import lowrank_forward  # solvers imports this module
-
     a = as_matrix(a, "measurement matrix")
     m, n = a.shape
     if m < 1:

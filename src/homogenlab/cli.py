@@ -236,7 +236,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise", type=_floats, default=(1e-3, 1e-2, 1e-1))
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--signals", type=int)
-    p.add_argument("--densify", type=int, default=96)
+    p.add_argument("--densify", type=int, default=homogenize.DENSIFY_POINTS)
     _add_fit_flags(p, learning_rate=3e-3, steps=1500)
     p.add_argument("--save-net")
     p.add_argument("--save-curves", help="per-coordinate training curves as CSV")

@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bounds import DirectionSet, one_layer_lower_bound, rip_exhaustive
-from .homogenize import FitConfig, build_inverse_recovery_net, fit_regressions
+from .homogenize import DENSIFY_POINTS, FitConfig, build_inverse_recovery_net, fit_regressions
 from .network import NetworkSpec, evaluate
-from .numerics import row_norms
+from .numerics import row_norms, sphere_noise
 
 
 def format_cell(value) -> str:
@@ -208,7 +208,7 @@ def recovery_experiment(
     noise_levels: Sequence[float],
     trials: int = 8,
     num_signals: int | None = None,
-    densify_points: int = 96,
+    densify_points: int = DENSIFY_POINTS,
     rip_threshold: float = 1.0,
     curves: dict[int, list] | None = None,
 ) -> tuple[np.ndarray, NetworkSpec, "object", list[tuple]]:
@@ -222,22 +222,20 @@ def recovery_experiment(
     s = 1, and otherwise the sampler's draws from ``default_rng([seed, 101])``.
     Returns (matrix, net, rip report, rows).
     """
-    levels = [float(v) for v in noise_levels]
-    if not levels:
-        raise ValueError("need at least one noise level")
-    if not all(0 < v < math.inf for v in levels):
-        raise ValueError("noise levels must be positive finite numbers")
-    if trials < 1:
-        raise ValueError("need at least one trial per noise level")
     sampler = sparse_signal_sampler(n, s)  # rejects an s outside [1, n]
-    a = gaussian_matrix(np.random.default_rng([fit.seed, 0]), m, n)
+    a = gaussian_matrix(np.random.default_rng([fit.seed, 0]), m, n)  # rejects m < 1
+    norm_e, e = sphere_noise(np.random.default_rng([fit.seed, 9]), noise_levels, trials, m)
+    if num_signals is None:
+        num_signals = 10 * n if s == 1 else 12 * n
+    if num_signals < 1:
+        raise ValueError("need at least one signal")
+    if densify_points < 0:
+        raise ValueError("densify points must be non-negative")
     rip = rip_exhaustive(a, min(2 * s, n))
     if rip.delta >= rip_threshold:
         raise ValueError(
             f"RIP check failed: delta_{min(2 * s, n)} = {rip.delta:.6f} >= {rip_threshold}"
         )
-    if num_signals is None:
-        num_signals = 10 * n if s == 1 else 12 * n
     if s == 1:
         exact = _signed_basis(n)
         signals = exact[np.arange(num_signals) % (2 * n)]
@@ -251,10 +249,7 @@ def recovery_experiment(
     # Row i of the approx and noisy blocks perturbs exact case i mod 2n.
     rng = np.random.default_rng([fit.seed, 8])
     approx = exact[np.arange(trials) % len(exact)] + 0.1 * rng.standard_normal((trials, n))
-    noisy = exact[np.arange(len(levels) * trials) % len(exact)]
-    norm_e = np.repeat(levels, trials)
-    e = np.random.default_rng([fit.seed, 9]).standard_normal((norm_e.size, m))
-    e *= (norm_e / row_norms(e))[:, None]
+    noisy = exact[np.arange(len(norm_e)) % len(exact)]
     blocks = (
         ("exact", exact, exact @ a.T, np.zeros(len(exact))),
         ("approx", approx, approx @ a.T, np.zeros(trials)),

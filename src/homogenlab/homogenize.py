@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .network import ActivationSpec, LayerSpec, NetworkSpec, unbiased_relu_net
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_rows, as_vector
 
 #: Optimizers of ``fit_regression``: plain gradient descent, or Adam.
 OPTIMIZERS = ("adam", "gd")
@@ -39,6 +39,9 @@ ADAM_EPS = 1e-8
 #: overhead, and stacking was measured to gain little or lose; a larger fit
 #: runs alone.
 STACK_BUDGET = 16_384
+
+#: Extra l1-sphere points the recovery pipeline densifies its samples with.
+DENSIFY_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -136,14 +139,8 @@ def _pairwise_gaps(points, values):
     """Checked samples: points as (N, d) rows (a 1-D array is N scalars),
     values as (N, p) rows (a 1-D array is N scalars), both finite, N >= 1,
     with their pairwise l2 distances and largest per-coordinate value gaps."""
-    u = np.asarray(points, dtype=np.float64)
-    if u.ndim == 1:
-        u = u[:, None]
-    u = as_matrix(u, "points")
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
-    v = as_matrix(v, "values")
+    u = as_rows(points, "points")
+    v = as_rows(values, "values")
     if v.shape[0] != u.shape[0]:
         raise ValueError(f"{v.shape[0]} values for {u.shape[0]} points")
     if not u.shape[0]:
@@ -202,20 +199,21 @@ def minimal_consistent_lipschitz(points, values) -> float:
     return float(np.max(gaps[mask] / dists[mask]))
 
 
-def _init_params(rng, width, in_dim, out_dim, unbiased):
+def _init_params(width, seed, restart, in_dim, out_dim, unbiased) -> np.ndarray:
+    """Initial weights, flat in ``_param_views`` order; drawn w1, w2, then b1."""
+    rng = np.random.default_rng([seed, restart])
     w1 = rng.standard_normal((width, in_dim)) / np.sqrt(in_dim)
     w2 = rng.standard_normal((out_dim, width)) / np.sqrt(width)
     if unbiased:
-        return w1, None, w2, None
+        return np.concatenate([w1.ravel(), w2.ravel()])
     b1 = 0.1 * rng.standard_normal(width)
-    b2 = np.zeros(out_dim)
-    return w1, b1, w2, b2
+    return np.concatenate([w1.ravel(), b1, w2.ravel(), np.zeros(out_dim)])
 
 
 def _param_views(flat: np.ndarray, width, in_dim, out_dim, unbiased):
     """w1, b1, w2, b2 as reshaped views into consecutive slices of the last
-    axis of ``flat``, in ``_init_params``'s order, keeping any leading stack
-    axis; the biases are None when unbiased."""
+    axis of ``flat``, keeping any leading stack axis; the biases are None
+    when unbiased."""
     lead = flat.shape[:-1]
     bias_shapes = (None, None) if unbiased else ((width,), (out_dim,))
     shapes = [(width, in_dim), bias_shapes[0], (out_dim, width), bias_shapes[1]]
@@ -274,8 +272,8 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
     differently once they were padded to a wider width). A run of several
     members works on (members, rows, width) blocks with ``np.matmul``; a run of
     one keeps 2-D arrays and ``np.dot`` for the hidden-layer gradient. A member
-    stops at a non-finite MSE or one at most the target: its weights are kept,
-    and from then on its weights, gradient and Adam moments are held at zero.
+    stops at a non-finite MSE or one at most the target: its weights are kept
+    as they are then, and what it computes after that is never read.
 
     Returns, per member, the MSE of its kept weights, those weights and, when
     ``record``, its MSE at every step it ran.
@@ -283,12 +281,9 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
     rows, in_dim = u.shape
     out_dim = t.shape[1]
     count = len(members)
-    sizes = [w * (in_dim + out_dim) + (0 if unbiased else w + out_dim) for w, _, _ in members]
-    starts = np.cumsum([0] + sizes)
-    theta = np.empty(starts[-1])
-    for r, (width, seed, restart) in enumerate(members):
-        init = _init_params(np.random.default_rng([seed, restart]), width, in_dim, out_dim, unbiased)
-        theta[starts[r] : starts[r + 1]] = np.concatenate([p.ravel() for p in init if p is not None])
+    inits = [_init_params(*member, in_dim, out_dim, unbiased) for member in members]
+    starts = np.cumsum([0] + [init.size for init in inits])
+    theta = np.concatenate(inits)
     grad = np.empty_like(theta)
     edges = [0] + [r for r in range(1, count) if members[r][0] != members[r - 1][0]] + [count]
     hidden_size = sum((b - a) * rows * members[a][0] for a, b in zip(edges, edges[1:]))
@@ -351,7 +346,6 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
     # kept[r] = (mse, weights, steps run) once member r stops.
     kept = [None] * count
     live = list(range(count))
-    frozen = np.empty(0, dtype=np.intp)
     trail = np.empty((config.steps, count)) if record else None
     for step in range(config.steps):
         mse = forward_mse()
@@ -365,12 +359,6 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
             live = [r for r in live if kept[r] is None]
             if not live:
                 break
-            frozen = np.concatenate(
-                [np.arange(starts[r], starts[r + 1]) for r in range(count) if kept[r] is not None]
-            )
-            theta[frozen] = 0.0
-            if adam:
-                moment1[frozen] = moment2[frozen] = 0.0
         np.multiply(resid, grad_scale, out=d_out)
         for g_d_out_t, g_hid, g_w2, hidden_grad, g_d_out, w2, g_d_hid in back:
             np.matmul(g_d_out_t, g_hid, out=g_w2)
@@ -382,8 +370,6 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
             if g_b1 is not None:
                 np.sum(g_d_hid, axis=-2, out=g_b1)
                 np.sum(g_d_out, axis=-2, out=g_b2)
-        if frozen.size:
-            grad[frozen] = 0.0
         if adam:
             _adam_step(theta, grad, moment1, moment2, scratch, config.learning_rate, step + 1)
         else:
@@ -419,10 +405,7 @@ def fit_regressions(
     to collect its (restart, step, mse) rows.
     """
     u = as_matrix(np.atleast_2d(np.asarray(inputs, dtype=np.float64)), "inputs")
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[:, None]
-    t = as_matrix(t, "targets")
+    t = as_rows(targets, "targets")
     if u.shape[0] == 0:
         raise ValueError("no training data")
     if t.shape[0] != u.shape[0]:
@@ -500,7 +483,7 @@ def build_inverse_recovery_net(
     a,
     signals,
     fit: FitConfig,
-    densify_points: int = 192,
+    densify_points: int = DENSIFY_POINTS,
     curves: dict[int, list] | None = None,
 ) -> NetworkSpec:
     """End-to-end construction of a bias-free two-hidden-layer relu network

@@ -170,29 +170,16 @@ def evaluate(net: NetworkSpec, x) -> np.ndarray:
     per input row.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return _evaluate_batch(net, as_matrix(x, "input batch"))
-    h = as_vector(x, "input")
-    if h.size != net.input_dim:
-        raise ValueError(f"input length {h.size} does not match network input {net.input_dim}")
-    return _evaluate_batch(net, h[None, :])[0]
-
-
-def _evaluate_batch(net: NetworkSpec, h: np.ndarray) -> np.ndarray:
+    h = as_matrix(x, "input batch") if x.ndim == 2 else as_vector(x, "input")[None, :]
     if h.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input batch shape {h.shape} does not match network input {net.input_dim}"
-        )
-    for layer in net.layers[:-1]:
-        pre = h @ layer.weights.T
+        raise ValueError(f"input shape {x.shape} does not match network input {net.input_dim}")
+    for i, layer in enumerate(net.layers):
+        if i:
+            h = net.activation.apply(h)
+        h = h @ layer.weights.T
         if layer.bias is not None:
-            pre += layer.bias
-        h = net.activation.apply(pre)
-    last = net.layers[-1]
-    out = h @ last.weights.T
-    if last.bias is not None:
-        out += last.bias
-    return out
+            h += layer.bias
+    return h if x.ndim == 2 else h[0]
 
 
 @dataclass(frozen=True)

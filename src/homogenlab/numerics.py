@@ -1,8 +1,8 @@
 """Dense linear algebra and proximal primitives shared by the rest of the package.
 
-Everything works on float64 numpy arrays and is a pure function of its inputs.
-Non-finite input, dimension mismatches and out-of-range parameters raise
-``ValueError``.
+Everything works on float64 numpy arrays and is a pure function of its inputs,
+a random generator counting as one. Non-finite input, dimension mismatches
+and out-of-range parameters raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def as_rows(a, name: str = "rows") -> np.ndarray:
+    """``as_matrix`` with a 1-D array read as one column of N rows."""
+    m = np.asarray(a, dtype=np.float64)
+    return as_matrix(m[:, None] if m.ndim == 1 else m, name)
 
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
@@ -107,6 +113,22 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     """l2 norm of every row of a 2-D array, bit for bit ``np.linalg.norm`` of
     that row: each stacked (1, d) @ (d, 1) product runs the same dot kernel."""
     return np.sqrt((m[:, None, :] @ m[:, :, None]).ravel())
+
+
+def sphere_noise(rng: np.random.Generator, levels, trials: int, dim: int):
+    """Per level, ``trials`` rows uniform on the l2 sphere of that radius in
+    R^dim, level-major from one normal draw: (radius of each row, rows)."""
+    levels = [float(v) for v in levels]
+    if not levels:
+        raise ValueError("need at least one noise level")
+    if not all(0 < v < math.inf for v in levels):
+        raise ValueError("noise levels must be positive finite numbers")
+    if trials < 1:
+        raise ValueError("need at least one trial per noise level")
+    radii = np.repeat(levels, trials)
+    e = rng.standard_normal((radii.size, dim))
+    e *= (radii / row_norms(e))[:, None]
+    return radii, e
 
 
 def matrix_norm(m, kind: str) -> float:

@@ -1,5 +1,5 @@
-"""Convex l1 recovery programs, their unrolled iterations, and forward
-operators for quadratic measurements.
+"""Convex l1 recovery programs, their unrolled iterations, and (re-exported
+from ``bounds``) the forward operators for quadratic measurements.
 
 One first-order primal-dual engine drives four programs: PDHG (proximal
 steps on both sides) in the restarted, reflected Halpern form of Lu & Yang
@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import DEFAULT_SUPPORT_CAP, support_chunks
+from .bounds import DEFAULT_SUPPORT_CAP, lowrank_forward, phase_retrieval_forward, support_chunks
 from .network import map_rows
 from .numerics import (
     RANK_TOLERANCE,
@@ -56,6 +56,7 @@ from .numerics import (
     row_norms,
     soft_threshold,
     soft_threshold_unchecked,
+    sphere_noise,
 )
 
 VARIANTS = ("qcbp", "bpdn", "lasso", "dantzig")
@@ -642,30 +643,6 @@ def lista_eval(net: Lista, y, x0=None) -> np.ndarray:
     return x
 
 
-def lowrank_forward(a, x) -> np.ndarray:
-    """Quadratic measurement map of a square matrix: component j is
-    row_j(A) X row_j(A)^T. An (S, n, n) stack of matrices maps to (S, m)."""
-    a = as_matrix(a, "measurement matrix")
-    x = np.asarray(x, dtype=np.float64)
-    n = a.shape[1]
-    if x.ndim > 3 or x.shape[-2:] != (n, n):
-        raise ValueError(f"matrix signal must be {n}x{n} or a stack of them, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix signal contains non-finite entries")
-    return np.einsum("jk,...kl,jl->...j", a, x, a)
-
-
-def phase_retrieval_forward(a, x) -> np.ndarray:
-    """Componentwise squared measurements |A x|^2; invariant under x -> -x and
-    identical to the quadratic map applied to x x^T."""
-    a = as_matrix(a, "measurement matrix")
-    x = as_vector(x, "signal")
-    if x.size != a.shape[1]:
-        raise ValueError(f"signal length {x.size} does not match {a.shape[1]} columns")
-    z = a @ x
-    return z * z
-
-
 def robustness_scan(
     f: Callable[[np.ndarray], np.ndarray],
     a,
@@ -684,21 +661,11 @@ def robustness_scan(
     x = as_vector(x, "signal")
     if x.size != a.shape[1]:
         raise ValueError(f"signal length {x.size} does not match {a.shape[1]} columns")
-    levels = [float(v) for v in noise_levels]
-    if not levels:
-        raise ValueError("need at least one noise level")
-    if not all(0 < v < math.inf for v in levels):
-        raise ValueError("noise levels must be positive finite numbers")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    radii, e = sphere_noise(np.random.default_rng(seed), noise_levels, trials, a.shape[0])
     y = a @ x
     base = map_rows(f, y[None, :])
-    level = np.repeat(levels, trials)
-    e = rng.standard_normal((level.size, y.size))
-    e *= (level / row_norms(e))[:, None]
     gains = row_norms(map_rows(f, y + e) - base) / row_norms(e)
-    return [(levels[i // trials], i % trials, float(g)) for i, g in enumerate(gains)]
+    return [(r, i % trials, g) for i, (r, g) in enumerate(zip(radii.tolist(), gains.tolist()))]
 
 
 def selection_discontinuity_demo(y2: float) -> tuple[float, bool]:

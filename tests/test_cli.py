@@ -112,6 +112,10 @@ REJECTED_NUMBERS = [
     ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--s", "7"],
     ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--s", "0"],
     ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--s", "-1"],
+    ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--signals", "0"],
+    ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--densify", "-1"],
+    ["robustness", "--net", "{net}", "--in", "{a}", "--x", "1,0,0", "--levels", "0.1", "--seed", "1",
+     "--out", "{out}", "--trials", "0"],
 ]
 
 
@@ -121,7 +125,10 @@ def test_non_finite_or_out_of_range_number_exits_one(tmp_path, monkeypatch, caps
         raise AssertionError("ran on a rejected number")
 
     for target in (solvers, experiments, network):
-        for name in ("solve", "fit_regression", "fit_regressions", "build_inverse_recovery_net", "evaluate"):
+        for name in (
+            "solve", "fit_regression", "fit_regressions", "build_inverse_recovery_net", "evaluate",
+            "rip_exhaustive",
+        ):
             if hasattr(target, name):
                 monkeypatch.setattr(target, name, must_not_run)
     a_path, net_path, out = tmp_path / "a.csv", tmp_path / "net.json", tmp_path / "out.csv"

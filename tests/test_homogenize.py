@@ -537,6 +537,24 @@ class TestStackedFits:
                 assert curve == solo_curve
         assert not all(np.isfinite(mse) for restart, _, mse in curves[3] if restart == 0)
 
+    def test_gd_member_stopping_at_target_leaves_the_others_alone(self, rng):
+        u, t = self.data(rng, 1)
+        # At this target the first width-8 member stops at step 209, inside a
+        # run of two; the other three members run all 400 steps.
+        configs = [
+            FitConfig(width=w, learning_rate=0.3, steps=400, restarts=1, seed=s, target_mse=1e-3)
+            for w, s in ((16, 4), (8, 5), (8, 9), (3, 6))
+        ]
+        curves = [[] for _ in configs]
+        fits = fit_regressions(u, t, configs, curves=curves)
+        assert [len(curve) for curve in curves] == [400, 209, 400, 400]
+        for cfg, fitted, curve in zip(configs, fits, curves):
+            solo_curve = []
+            net, mse = fit_regression(u, t, cfg, curve=solo_curve)
+            hidden, out = net.layers
+            assert_fit_equal(fitted, ((hidden.weights, hidden.bias, out.weights, out.bias), mse))
+            assert curve == solo_curve
+
     @pytest.mark.parametrize(
         "change",
         [{"learning_rate": 0.2}, {"steps": 11}, {"optimizer": "adam"}, {"restarts": 2}, {"target_mse": 1e-3}],

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homogenlab.numerics import (
+    as_rows,
     matrix_norm,
     norm,
     project_l2_ball,
     project_linf_ball,
     rank_truncate,
+    row_norms,
     soft_threshold,
+    sphere_noise,
     svd,
 )
 
@@ -163,3 +166,48 @@ class TestProjections:
             r = float(rng.uniform(0, 2))
             assert np.linalg.norm(project_l2_ball(u, center, r) - center) <= r + 1e-12
             assert np.max(np.abs(project_linf_ball(u, center, r) - center)) <= r + 1e-12
+
+
+class TestAsRows:
+    def test_vector_is_one_column(self):
+        rows = as_rows([1, 2, 3])
+        assert rows.shape == (3, 1) and rows.dtype == np.float64
+        assert np.array_equal(rows[:, 0], [1.0, 2.0, 3.0])
+
+    def test_matrix_passes_through(self, rng):
+        m = rng.standard_normal((4, 3))
+        assert np.array_equal(as_rows(m), m)
+
+    def test_rejects_three_dimensions_by_name(self):
+        with pytest.raises(ValueError, match="points must be two-dimensional"):
+            as_rows(np.zeros((2, 2, 2)), "points")
+
+    def test_rejects_non_finite_by_name(self):
+        with pytest.raises(ValueError, match="values contains non-finite entries"):
+            as_rows([1.0, np.nan], "values")
+
+
+class TestSphereNoise:
+    def test_rows_are_level_major_on_their_spheres(self):
+        levels, trials, dim = [0.5, 2.0, 1e-3], 4, 5
+        radii, e = sphere_noise(np.random.default_rng(3), levels, trials, dim)
+        assert np.array_equal(radii, np.repeat(levels, trials))
+        assert e.shape == (len(levels) * trials, dim)
+        np.testing.assert_allclose(row_norms(e), radii, rtol=1e-14, atol=0)
+        # One normal draw, each row scaled onto its sphere.
+        draw = np.random.default_rng(3).standard_normal(e.shape)
+        assert np.array_equal(e, draw * (radii / row_norms(draw))[:, None])
+
+    @pytest.mark.parametrize(
+        "levels, trials, message",
+        [
+            ([], 1, "need at least one noise level"),
+            ([0.1, np.inf], 1, "noise levels must be positive finite numbers"),
+            ([0.0], 1, "noise levels must be positive finite numbers"),
+            ([0.1], 0, "need at least one trial per noise level"),
+        ],
+        ids=["no-levels", "infinite-level", "zero-level", "no-trials"],
+    )
+    def test_rejected(self, levels, trials, message):
+        with pytest.raises(ValueError, match=message):
+            sphere_noise(np.random.default_rng(0), levels, trials, 3)
