@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .network import map_rows
-from .numerics import as_matrix, as_vector, rank_truncate, row_norms, singular_values
+from .numerics import as_matrix, as_vector, check_signal, rank_truncate, row_norms, singular_values
 
 CONDITIONING_NORMS = ("l1", "l2", "nuclear")
 
@@ -140,6 +140,14 @@ def uat_negative_bound(n: int) -> float:
     return math.sqrt(n / 8.0)
 
 
+def support_count(n: int, sizes, cap: int) -> int:
+    """Sum of C(n, k) over the support ``sizes``; rejected above ``cap``."""
+    count = sum(math.comb(n, k) for k in sizes)
+    if count > cap:
+        raise ValueError(f"support enumeration needs {count} supports, cap is {cap}")
+    return count
+
+
 def support_chunks(n: int, t: int) -> Iterator[np.ndarray]:
     """Every size-``t`` subset of ``range(n)`` in lexicographic order, as
     consecutive (at most ``SUPPORT_CHUNK``, t) arrays of column indices."""
@@ -160,9 +168,7 @@ def rip_exhaustive(a, t: int, cap: int = DEFAULT_SUPPORT_CAP) -> RipReport:
     n = a.shape[1]
     if not 1 <= t <= n:
         raise ValueError(f"order {t} out of range [1, {n}]")
-    count = math.comb(n, t)
-    if count > cap:
-        raise ValueError(f"support enumeration needs {count} supports, cap is {cap}")
+    count = support_count(n, (t,), cap)
     rows = a.T
     worst_lb = 0.0
     worst_ub = 0.0
@@ -266,10 +272,7 @@ def lowrank_forward(a, x) -> np.ndarray:
 def phase_retrieval_forward(a, x) -> np.ndarray:
     """Componentwise squared measurements |A x|^2; invariant under x -> -x and
     identical to the quadratic map applied to x x^T."""
-    a = as_matrix(a, "measurement matrix")
-    x = as_vector(x, "signal")
-    if x.size != a.shape[1]:
-        raise ValueError(f"signal length {x.size} does not match {a.shape[1]} columns")
+    a, x = check_signal(a, x)
     z = a @ x
     return z * z
 

@@ -431,11 +431,10 @@ def _cmd_ista(args):
 
 
 def _cmd_lista(args):
-    # A depth-0 net holds no matrix, so the measurement is checked against A here.
-    a, y = solvers.check_measurement(read_matrix_csv(args.infile), args.y)
+    a = read_matrix_csv(args.infile)
     step_bound = _step_bound(args, a)
     net = solvers.lista_from_ista(a, args.lam, step_bound, args.depth)
-    final = solvers.lista_eval(net, y, np.zeros(a.shape[1]))
+    final = solvers.lista_eval(net, args.y)
     header = tuple(f"z{i}" for i in range(final.size))
     _print_or_write(args, "lista", _config(args, step_bound=step_bound), header, [tuple(final)])
     return 0

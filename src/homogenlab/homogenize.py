@@ -273,7 +273,8 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
     members works on (members, rows, width) blocks with ``np.matmul``; a run of
     one keeps 2-D arrays and ``np.dot`` for the hidden-layer gradient. A member
     stops at a non-finite MSE or one at most the target: its weights are kept
-    as they are then, and what it computes after that is never read.
+    as they are then and zeroed with its residual, gradient scale and Adam
+    moments, so every later update of it is exactly zero.
 
     Returns, per member, the MSE of its kept weights, those weights and, when
     ``record``, its MSE at every step it ran.
@@ -355,7 +356,11 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
         stopped = [r for r in live if not config.target_mse < values[r] < math.inf]
         if stopped:
             for r in stopped:
-                kept[r] = (values[r], theta[starts[r] : starts[r + 1]].copy(), step + 1)
+                span = slice(starts[r], starts[r + 1])
+                kept[r] = (values[r], theta[span].copy(), step + 1)
+                theta[span] = grad_scale[r] = resid[r] = 0.0
+                if adam:
+                    moment1[span] = moment2[span] = 0.0
             live = [r for r in live if kept[r] is None]
             if not live:
                 break

@@ -132,8 +132,9 @@ class NetworkSpec:
                     f"layers[{i + 1}]: input width {cur.in_dim} does not chain "
                     f"with previous output width {prev.out_dim}"
                 )
-        if self.unbiased and any(layer.bias is not None for layer in layers):
-            raise ValueError("network is flagged unbiased but carries a bias vector")
+        biased = [i for i, layer in enumerate(layers) if layer.bias is not None]
+        if self.unbiased and biased:
+            raise ValueError(f"layers[{biased[0]}]: bias present in a network flagged unbiased")
 
     @property
     def depth(self) -> int:
@@ -375,6 +376,13 @@ def _expect(cond: bool, where: str, what: str):
         raise ValueError(f"{where}: {what}")
 
 
+def _located(where: str, build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _finite_number(v) -> bool:
     # Exact types: JSON true/false load as bool, a subclass of int.
     if type(v) is int:
@@ -395,7 +403,7 @@ def _expect_numbers(values: list, where: str) -> None:
 
 def deserialize(text: str) -> NetworkSpec:
     """Parse the network file format, rejecting malformed documents with the
-    offending location."""
+    offending location. The reader checks JSON types; the specs state the rest."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -415,12 +423,7 @@ def deserialize(text: str) -> NetworkSpec:
             _expect_number(fam[key], f"activation.relu_family.{key}")
         activation = ActivationSpec.relu_family(fam["alpha"], fam["beta"])
     elif "named" in act:
-        _expect(
-            act["named"] in NAMED_ACTIVATIONS,
-            "activation.named",
-            f"expected one of {NAMED_ACTIVATIONS}",
-        )
-        activation = ActivationSpec.named(act["named"])
+        activation = _located("activation.named", ActivationSpec.named, act["named"])
     else:
         raise ValueError("activation: expected key 'relu_family' or 'named'")
 
@@ -430,37 +433,18 @@ def deserialize(text: str) -> NetworkSpec:
     raw_layers = doc.get("layers")
     _expect(isinstance(raw_layers, list) and raw_layers, "layers", "expected a non-empty array")
     layers = []
-    prev_out = None
     for i, entry in enumerate(raw_layers):
         where = f"layers[{i}]"
         _expect(isinstance(entry, dict), where, "expected an object")
         weights = entry.get("weights")
         _expect(isinstance(weights, list) and weights, f"{where}.weights", "expected a non-empty array of rows")
-        row_len = None
         for j, row in enumerate(weights):
             _expect(isinstance(row, list) and row, f"{where}.weights[{j}]", "expected a non-empty row")
             _expect_numbers(row, f"{where}.weights[{j}]")
-            if row_len is None:
-                row_len = len(row)
-            _expect(len(row) == row_len, f"{where}.weights[{j}]", "ragged rows")
-        w = np.array(weights, dtype=np.float64)
-        if prev_out is not None:
-            _expect(
-                w.shape[1] == prev_out,
-                f"{where}.weights",
-                f"input width {w.shape[1]} does not chain with previous output width {prev_out}",
-            )
-        prev_out = w.shape[0]
+            _expect(len(row) == len(weights[0]), f"{where}.weights[{j}]", "ragged rows")
         bias = entry.get("bias")
         if bias is not None:
             _expect(isinstance(bias, list), f"{where}.bias", "expected an array or null")
             _expect_numbers(bias, f"{where}.bias")
-            _expect(
-                len(bias) == w.shape[0],
-                f"{where}.bias",
-                f"length {len(bias)} does not match weight rows {w.shape[0]}",
-            )
-            _expect(not unbiased, f"{where}.bias", "bias present in a network flagged unbiased")
-            bias = np.array(bias, dtype=np.float64)
-        layers.append(LayerSpec(w, bias))
+        layers.append(_located(where, LayerSpec, weights, bias))
     return NetworkSpec(tuple(layers), activation, unbiased)

@@ -46,6 +46,24 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
+def check_measurement(a, y) -> tuple[np.ndarray, np.ndarray]:
+    """Validated matrix and measurement, the measurement one entry per row."""
+    a = as_matrix(a, "measurement matrix")
+    y = as_vector(y, "measurement")
+    if y.size != a.shape[0]:
+        raise ValueError(f"measurement length {y.size} does not match {a.shape[0]} rows")
+    return a, y
+
+
+def check_signal(a, x) -> tuple[np.ndarray, np.ndarray]:
+    """Validated matrix and signal, the signal one entry per column."""
+    a = as_matrix(a, "measurement matrix")
+    x = as_vector(x, "signal")
+    if x.size != a.shape[1]:
+        raise ValueError(f"signal length {x.size} does not match {a.shape[1]} columns")
+    return a, x
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD of a matrix.

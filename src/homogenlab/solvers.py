@@ -43,12 +43,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import DEFAULT_SUPPORT_CAP, lowrank_forward, phase_retrieval_forward, support_chunks
+from .bounds import DEFAULT_SUPPORT_CAP, lowrank_forward, phase_retrieval_forward, support_chunks, support_count
 from .network import map_rows
 from .numerics import (
     RANK_TOLERANCE,
     as_matrix,
     as_vector,
+    check_measurement,
+    check_signal,
     matrix_norm,
     numerical_rank,
     project_l2_ball_unchecked,
@@ -65,15 +67,6 @@ VARIANTS = ("qcbp", "bpdn", "lasso", "dantzig")
 #: residual lies within this multiple of (||y|| + smallest screened residual)
 #: of the smallest.
 SCREEN_RTOL = 1e-9
-
-
-def check_measurement(a, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validated matrix and measurement, the measurement one entry per row."""
-    a = as_matrix(a, "measurement matrix")
-    y = as_vector(y, "measurement")
-    if y.size != a.shape[0]:
-        raise ValueError(f"measurement length {y.size} does not match {a.shape[0]} rows")
-    return a, y
 
 
 #: The parameter each program reads, by the name of its CLI flag.
@@ -510,9 +503,7 @@ def brute_force_sparse_fit(
     n = a.shape[1]
     if not 0 <= s <= n:
         raise ValueError(f"sparsity {s} out of range [0, {n}]")
-    count = sum(math.comb(n, size) for size in range(1, s + 1))
-    if count > cap:
-        raise ValueError(f"support enumeration needs {count} supports, cap is {cap}")
+    support_count(n, range(1, s + 1), cap)
 
     def chunks():
         return (c for size in range(1, s + 1) for c in support_chunks(n, size))
@@ -561,9 +552,7 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int, x0=None) -> np.nda
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
     n = a.shape[1]
-    x = np.zeros(n) if x0 is None else as_vector(x0, "start").copy()
-    if x.size != n:
-        raise ValueError(f"start length {x.size} does not match {n} columns")
+    x = np.zeros(n) if x0 is None else check_signal(a, x0)[1]
     trajectory = np.empty((iters + 1, n))
     trajectory[0] = x
     threshold = lam / step_bound
@@ -581,33 +570,26 @@ def ista_objective(a, y, lam: float, z) -> float:
 
 @dataclass(frozen=True)
 class Lista:
-    """Unrolled shrinkage iteration with explicit per-layer matrices:
-    x <- eta_threshold(W1[l] x + W2[l] y)."""
+    """Unrolled shrinkage iteration with one tied pair of matrices, applied
+    ``depth`` times: x <- eta_threshold(W1 x + W2 y)."""
 
-    w1_layers: tuple[np.ndarray, ...]
-    w2_layers: tuple[np.ndarray, ...]
+    w1: np.ndarray
+    w2: np.ndarray
     threshold: float
+    depth: int
 
     def __post_init__(self):
-        w1 = tuple(as_matrix(w, f"w1_layers[{i}]") for i, w in enumerate(self.w1_layers))
-        w2 = tuple(as_matrix(w, f"w2_layers[{i}]") for i, w in enumerate(self.w2_layers))
-        if len(w1) != len(w2):
-            raise ValueError(f"{len(w1)} state matrices vs {len(w2)} input matrices")
-        for i, (m1, m2) in enumerate(zip(w1, w2)):
-            if m1.shape[0] != m1.shape[1]:
-                raise ValueError(f"w1_layers[{i}] must be square, got {m1.shape}")
-            if m2.shape[0] != m1.shape[0]:
-                raise ValueError(
-                    f"w2_layers[{i}] rows {m2.shape[0]} do not match state size {m1.shape[0]}"
-                )
+        w1, w2 = as_matrix(self.w1, "w1"), as_matrix(self.w2, "w2")
+        if w1.shape[0] != w1.shape[1]:
+            raise ValueError(f"w1 must be square, got {w1.shape}")
+        if w2.shape[0] != w1.shape[0]:
+            raise ValueError(f"w2 rows {w2.shape[0]} do not match state size {w1.shape[0]}")
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
-        object.__setattr__(self, "w1_layers", w1)
-        object.__setattr__(self, "w2_layers", w2)
-
-    @property
-    def depth(self) -> int:
-        return len(self.w1_layers)
+        if self.depth < 0:
+            raise ValueError("depth must be non-negative")
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
 
 
 def lista_from_ista(a, lam: float, step_bound: float, depth: int) -> Lista:
@@ -615,31 +597,15 @@ def lista_from_ista(a, lam: float, step_bound: float, depth: int) -> Lista:
     iteration induces: W1 = I - (1/L) A^T A, W2 = (1/L) A^T."""
     a = as_matrix(a, "measurement matrix")
     _check_shrinkage(lam, step_bound)
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    n = a.shape[1]
-    w1 = np.eye(n) - (a.T @ a) / step_bound
-    w2 = a.T / step_bound
-    return Lista((w1,) * depth, (w2,) * depth, lam / step_bound)
+    return Lista(np.eye(a.shape[1]) - (a.T @ a) / step_bound, a.T / step_bound, lam / step_bound, depth)
 
 
 def lista_eval(net: Lista, y, x0=None) -> np.ndarray:
-    y = as_vector(y, "measurement")
-    if net.depth == 0:
-        if x0 is None:
-            raise ValueError("depth-0 evaluation needs an explicit start")
-        return as_vector(x0, "start").copy()
-    n = net.w1_layers[0].shape[0]
-    if net.w2_layers[0].shape[1] != y.size:
-        raise ValueError(
-            f"measurement length {y.size} does not match input matrix columns "
-            f"{net.w2_layers[0].shape[1]}"
-        )
-    x = np.zeros(n) if x0 is None else as_vector(x0, "start").copy()
-    if x.size != n:
-        raise ValueError(f"start length {x.size} does not match state size {n}")
-    for w1, w2 in zip(net.w1_layers, net.w2_layers):
-        x = soft_threshold(w1 @ x + w2 @ y, net.threshold)
+    """``net.depth`` shrinkage steps from ``x0`` (zeros when None)."""
+    _, y = check_measurement(net.w2.T, y)
+    x = np.zeros(net.w1.shape[0]) if x0 is None else check_signal(net.w1, x0)[1].copy()
+    for _ in range(net.depth):
+        x = soft_threshold(net.w1 @ x + net.w2 @ y, net.threshold)
     return x
 
 
@@ -657,10 +623,7 @@ def robustness_scan(
 
     ``f`` maps a batch of measurements to one output row each, like the map
     of ``check_positive_homogeneity``; it is called through ``map_rows``."""
-    a = as_matrix(a, "measurement matrix")
-    x = as_vector(x, "signal")
-    if x.size != a.shape[1]:
-        raise ValueError(f"signal length {x.size} does not match {a.shape[1]} columns")
+    a, x = check_signal(a, x)
     radii, e = sphere_noise(np.random.default_rng(seed), noise_levels, trials, a.shape[0])
     y = a @ x
     base = map_rows(f, y[None, :])

@@ -13,12 +13,13 @@ from homogenlab.bounds import (
     one_layer_lower_bound,
     rip_exhaustive,
     support_chunks,
+    support_count,
     uat_negative_bound,
     uat_negative_matrix,
 )
 from homogenlab.homogenize import FitConfig, fit_regression
 from homogenlab.network import evaluate, unbiased_relu_net
-from homogenlab.solvers import lowrank_forward, phase_retrieval_forward
+from homogenlab.solvers import brute_force_sparse_fit, lowrank_forward, phase_retrieval_forward
 
 
 def gram_eigen_tail_oracle(x, m):
@@ -123,6 +124,17 @@ class TestSupportChunks:
     def test_single_and_full_size(self):
         assert [c.tolist() for c in support_chunks(3, 1)] == [[[0], [1], [2]]]
         assert [c.tolist() for c in support_chunks(3, 3)] == [[[0, 1, 2]]]
+
+
+class TestSupportCount:
+    def test_sums_binomials_over_the_sizes(self):
+        assert support_count(10, (4,), 210) == 210
+        assert support_count(10, range(1, 4), 175) == 10 + 45 + 120
+
+    def test_brute_force_counts_every_size_up_to_s(self):
+        message = r"^support enumeration needs 175 supports, cap is 100$"
+        with pytest.raises(ValueError, match=message):
+            brute_force_sparse_fit(np.ones((2, 10)), np.ones(2), 3, cap=100)
 
 
 class TestRipExhaustive:

@@ -159,7 +159,7 @@ def test_robustness_signal_length_named(tmp_path, capsys):
 
 
 def test_lista_depth_zero_checks_measurement_length(tmp_path, capsys):
-    # A depth-0 net holds no matrix; the length is checked against the CSV.
+    # The net holds its input matrix at every depth, so depth 0 checks the length too.
     a_path = tmp_path / "a.csv"
     write_matrix_csv(a_path, np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.5]]), "test", {})
     argv = ["lista", "--in", str(a_path), "--y", "1,2,3,4", "--lam", "0.1", "--depth", "0"]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -536,6 +537,26 @@ class TestStackedFits:
                 assert_fit_equal(fitted, ((net.layers[0].weights, None, net.layers[1].weights, None), mse))
                 assert curve == solo_curve
         assert not all(np.isfinite(mse) for restart, _, mse in curves[3] if restart == 0)
+
+    # Width 16 diverges while widths 3 and 8 run all 200 steps: at lr 6 its
+    # squared residual overflows at step 10, at lr 7 its residual at step 9.
+    @pytest.mark.parametrize("lr, stop", [(6.0, 10), (7.0, 9)])
+    def test_diverged_member_stops_computing(self, rng, lr, stop):
+        u, t = self.data(rng, 4)
+        configs = [FitConfig(width=w, learning_rate=lr, steps=200, restarts=1, seed=9 + w) for w in (3, 8, 16)]
+        curves = [[] for _ in configs]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits = fit_regressions(u, t, configs, unbiased=True, curves=curves)
+        assert [fitted is None for fitted in fits] == [False, False, True]
+        assert [len(curve) for curve in curves] == [200, 200, stop]
+        # Its zeroed slices keep the inf/nan of its last step out of every later one.
+        assert not [w for w in caught if "invalid value" in str(w.message)]
+        for cfg, fitted, curve in zip(configs[:2], fits, curves):
+            solo_curve = []
+            net, mse = fit_regression(u, t, cfg, unbiased=True, curve=solo_curve)
+            assert_fit_equal(fitted, ((net.layers[0].weights, None, net.layers[1].weights, None), mse))
+            assert curve == solo_curve
 
     def test_gd_member_stopping_at_target_leaves_the_others_alone(self, rng):
         u, t = self.data(rng, 1)

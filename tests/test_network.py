@@ -390,6 +390,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unbiased"):
             deserialize(doc)
 
+    # Rules of the specs come back with the JSON location of the layer.
+    @pytest.mark.parametrize(
+        "unbiased, layers, message",
+        [
+            ("false", '[{"weights": [[1.0], [2.0]], "bias": [0.5]}, {"weights": [[1.0, 2.0]], "bias": null}]',
+             r"^layers\[0\]: bias length 1 does not match weight rows 2$"),
+            ("true", '[{"weights": [[1.0, 2.0]], "bias": null}, {"weights": [[1.0, 2.0]], "bias": null}]',
+             r"^layers\[1\]: input width 2 does not chain with previous output width 1$"),
+            ("true", '[{"weights": [[1.0]], "bias": null}, {"weights": [[1.0]], "bias": [0.5]}]',
+             r"^layers\[1\]: bias present in a network flagged unbiased$"),
+        ],
+        ids=["bias-length", "width-chain", "unbiased-with-bias"],
+    )
+    def test_spec_rules_rejected_at_their_layer(self, unbiased, layers, message):
+        doc = f"""{{"activation": {{"relu_family": {{"alpha": 1.0, "beta": 0.0}}}},
+                  "unbiased": {unbiased}, "layers": {layers}}}"""
+        with pytest.raises(ValueError, match=message):
+            deserialize(doc)
+
+    def test_unknown_named_activation_rejected(self):
+        doc = """{"activation": {"named": "relu"}, "unbiased": true,
+                  "layers": [{"weights": [[1.0]], "bias": null}]}"""
+        with pytest.raises(ValueError, match=r"^activation\.named: unknown activation 'relu'; expected one of"):
+            deserialize(doc)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ValueError, match="JSON"):
             deserialize("{not json")

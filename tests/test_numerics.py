@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from homogenlab.numerics import (
     as_rows,
+    check_measurement,
+    check_signal,
     matrix_norm,
     norm,
     project_l2_ball,
@@ -185,6 +187,17 @@ class TestAsRows:
     def test_rejects_non_finite_by_name(self):
         with pytest.raises(ValueError, match="values contains non-finite entries"):
             as_rows([1.0, np.nan], "values")
+
+
+class TestLengthChecks:
+    def test_measurement_has_one_entry_per_row_and_signal_per_column(self):
+        a = np.ones((2, 3))
+        assert check_measurement(a, [1.0, 2.0])[1].tolist() == [1.0, 2.0]
+        assert check_signal(a, [1.0, 2.0, 3.0])[1].tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match=r"^measurement length 3 does not match 2 rows$"):
+            check_measurement(a, np.ones(3))
+        with pytest.raises(ValueError, match=r"^signal length 2 does not match 3 columns$"):
+            check_signal(a, np.ones(2))
 
 
 class TestSphereNoise:

@@ -508,7 +508,33 @@ class TestLista:
         from homogenlab.solvers import Lista
 
         with pytest.raises(ValueError):
-            Lista((np.eye(3),), (np.ones((4, 2)),), 0.1)
+            Lista(np.eye(3), np.ones((4, 2)), 0.1, 1)
+
+    def test_depth_zero_starts_from_zeros_and_checks_the_measurement(self, rng):
+        net = lista_from_ista(rng.standard_normal((3, 4)), 0.1, 2.0, 0)
+        assert np.array_equal(lista_eval(net, rng.standard_normal(3)), np.zeros(4))
+        with pytest.raises(ValueError, match=r"^measurement length 5 does not match 3 rows$"):
+            lista_eval(net, np.ones(5))
+
+    @pytest.mark.parametrize(
+        "w1, w2, threshold, depth, message",
+        [
+            (np.ones((3, 2)), np.ones((3, 2)), 0.1, 1, r"^w1 must be square"),
+            (np.eye(3), np.ones((3, 2)), -0.1, 1, r"^threshold must be non-negative$"),
+            (np.eye(3), np.ones((3, 2)), 0.1, -1, r"^depth must be non-negative$"),
+        ],
+        ids=["w1-not-square", "threshold", "depth"],
+    )
+    def test_tied_pair_rejected_by_rule(self, w1, w2, threshold, depth, message):
+        from homogenlab.solvers import Lista
+
+        with pytest.raises(ValueError, match=message):
+            Lista(w1, w2, threshold, depth)
+
+    def test_start_is_checked_against_the_state(self):
+        net = lista_from_ista(np.ones((2, 3)), 0.1, 6.0, 2)
+        with pytest.raises(ValueError, match=r"^signal length 2 does not match 3 columns$"):
+            lista_eval(net, np.ones(2), np.ones(2))
 
 
 class TestForwardOperators:
