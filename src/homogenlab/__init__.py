@@ -1,15 +1,6 @@
 """homogenlab: scale-invariant (bias-free) ReLU networks for linear inverse problems."""
 
-from .numerics import (
-    SvdResult,
-    matrix_norm,
-    norm,
-    project_l2_ball,
-    project_linf_ball,
-    rank_truncate,
-    soft_threshold,
-    svd,
-)
+from .numerics import rank_truncate, soft_threshold, spectral_norm
 from .network import (
     ActivationSpec,
     HomogeneityReport,
@@ -37,8 +28,10 @@ from .bounds import (
     RipReport,
     eckart_young_gap,
     empirical_conditioning,
+    lowrank_forward,
     lowrank_rip_sample,
     one_layer_lower_bound,
+    phase_retrieval_forward,
     rip_exhaustive,
     uat_negative_bound,
     uat_negative_matrix,
@@ -55,8 +48,6 @@ from .solvers import (
     lasso,
     lista_eval,
     lista_from_ista,
-    lowrank_forward,
-    phase_retrieval_forward,
     qcbp,
     robustness_scan,
     selection_discontinuity_demo,

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .network import map_rows
-from .numerics import as_matrix, as_vector, check_signal, rank_truncate, row_norms, singular_values
+from .numerics import as_matrix, as_vector, check_signal, rank_truncate, read_only_copy, row_norms, singular_values
 
 CONDITIONING_NORMS = ("l1", "l2", "nuclear")
 
@@ -49,9 +49,8 @@ class DirectionSet:
         off = np.abs(norms - 1.0)
         if np.any(off > DIRECTION_TOL):
             worst = int(np.argmax(off))
-            raise ValueError(f"column {worst} has l2 norm {norms[worst]!r}, expected 1")
-        x.setflags(write=False)
-        object.__setattr__(self, "columns", x)
+            raise ValueError(f"column {worst} has l2 norm {float(norms[worst])!r}, expected 1")
+        object.__setattr__(self, "columns", read_only_copy(x))
 
     @staticmethod
     def identity(n: int) -> "DirectionSet":

@@ -23,7 +23,7 @@ from .experiments import (
     write_csv,
     write_matrix_csv,
 )
-from .numerics import matrix_norm
+from .numerics import spectral_norm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -412,7 +412,7 @@ def _cmd_solve(args):
 def _step_bound(args, a) -> float:
     """``--step-bound``, by default the squared spectral norm of ``a``."""
     if args.step_bound is None:
-        return matrix_norm(a, "spectral") ** 2
+        return spectral_norm(a) ** 2
     return args.step_bound
 
 

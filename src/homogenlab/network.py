@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, read_only_copy
 
 NAMED_ACTIVATIONS = ("tanh", "softplus")
 
@@ -88,8 +88,7 @@ class LayerSpec:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        w = as_matrix(self.weights, "weights")
-        w.setflags(write=False)
+        w = read_only_copy(as_matrix(self.weights, "weights"))
         object.__setattr__(self, "weights", w)
         if self.bias is not None:
             b = as_vector(self.bias, "bias")
@@ -97,8 +96,7 @@ class LayerSpec:
                 raise ValueError(
                     f"bias length {b.size} does not match weight rows {w.shape[0]}"
                 )
-            b.setflags(write=False)
-            object.__setattr__(self, "bias", b)
+            object.__setattr__(self, "bias", read_only_copy(b))
 
     @property
     def out_dim(self) -> int:
@@ -286,15 +284,20 @@ def convert_relu_to_activation(net: NetworkSpec, alpha: float, beta: float) -> N
         raise ValueError("conversion requires an unbiased network")
     if not net.activation.is_plain_relu:
         raise ValueError("conversion requires relu activation")
+    activation = ActivationSpec.relu_family(alpha, beta)
     if abs(alpha) == abs(beta):
         raise ValueError("degenerate activation family: |alpha| == |beta|")
     denom = alpha * alpha - beta * beta
+    if not sys.float_info.min <= abs(denom) < math.inf:
+        raise ValueError(
+            f"alpha^2 - beta^2 underflows or overflows for alpha={activation.alpha!r}, beta={activation.beta!r}"
+        )
     g1 = alpha / denom
     g2 = beta / denom
     mats = [layer.weights for layer in net.layers]
     if len(mats) == 1:
         # no hidden layer, the activation is never applied
-        return NetworkSpec(net.layers, ActivationSpec.relu_family(alpha, beta), unbiased=True)
+        return NetworkSpec(net.layers, activation, unbiased=True)
     new_mats = [np.vstack([mats[0], -mats[0]])]
     for w in mats[1:-1]:
         top = np.hstack([g1 * w, -g2 * w])
@@ -302,7 +305,7 @@ def convert_relu_to_activation(net: NetworkSpec, alpha: float, beta: float) -> N
     new_mats.append(np.hstack([g1 * mats[-1], -g2 * mats[-1]]))
     return NetworkSpec(
         tuple(LayerSpec(w) for w in new_mats),
-        ActivationSpec.relu_family(alpha, beta),
+        activation,
         unbiased=True,
     )
 

@@ -8,16 +8,12 @@ and out-of-range parameters raise ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Singular values below RANK_TOLERANCE * sigma_max count as zero for rank
 # decisions.
 RANK_TOLERANCE = 1e-12
-
-VECTOR_NORMS = ("l1", "l2", "linf")
-MATRIX_NORMS = ("frobenius", "nuclear", "spectral")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -64,27 +60,12 @@ def check_signal(a, x) -> tuple[np.ndarray, np.ndarray]:
     return a, x
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD of a matrix.
-
-    ``left_vectors @ diag(singular_values) @ right_vectors.T`` reconstructs
-    the input; singular values are sorted in non-increasing order and both
-    vector blocks have orthonormal columns.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
-
-def svd(m) -> SvdResult:
-    m = as_matrix(m)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return SvdResult(u, s, vt.T)
+def read_only_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a`` in its own memory layout, so that a product
+    with it gives the bits of the same product with ``a``."""
+    out = a.copy(order="K")
+    out.setflags(write=False)
+    return out
 
 
 def singular_values(m) -> np.ndarray:
@@ -116,17 +97,6 @@ def soft_threshold_unchecked(t: np.ndarray, z: float) -> np.ndarray:
     return np.sign(t) * np.maximum(np.abs(t) - z, 0.0)
 
 
-def norm(v, kind: str) -> float:
-    v = as_vector(v)
-    if kind == "l1":
-        return float(np.sum(np.abs(v)))
-    if kind == "l2":
-        return float(np.linalg.norm(v))
-    if kind == "linf":
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    raise ValueError(f"unknown vector norm {kind!r}; expected one of {VECTOR_NORMS}")
-
-
 def row_norms(m: np.ndarray) -> np.ndarray:
     """l2 norm of every row of a 2-D array, bit for bit ``np.linalg.norm`` of
     that row: each stacked (1, d) @ (d, 1) product runs the same dot kernel."""
@@ -149,16 +119,10 @@ def sphere_noise(rng: np.random.Generator, levels, trials: int, dim: int):
     return radii, e
 
 
-def matrix_norm(m, kind: str) -> float:
-    m = as_matrix(m)
-    if kind == "frobenius":
-        return float(np.linalg.norm(m))
-    if kind == "nuclear":
-        return float(np.sum(singular_values(m)))
-    if kind == "spectral":
-        s = singular_values(m)
-        return float(s[0]) if s.size else 0.0
-    raise ValueError(f"unknown matrix norm {kind!r}; expected one of {MATRIX_NORMS}")
+def spectral_norm(m) -> float:
+    """Largest singular value of ``m`` (0 for an empty matrix)."""
+    s = singular_values(m)
+    return float(s[0]) if s.size else 0.0
 
 
 def rank_truncate(m, r: int) -> tuple[np.ndarray, float]:
@@ -170,43 +134,6 @@ def rank_truncate(m, r: int) -> tuple[np.ndarray, float]:
         raise ValueError(f"rank {r} out of range [0, {max_rank}]")
     if r == max_rank:
         return m, 0.0
-    res = svd(m)
-    s = res.singular_values
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     tail = float(np.sqrt(np.sum(s[r:] ** 2)))
-    truncated = (res.left_vectors[:, :r] * s[:r]) @ res.right_vectors[:, :r].T
-    return truncated, tail
-
-
-def _checked_ball(u, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    u = as_vector(u, "point")
-    center = as_vector(center, "center")
-    if u.shape != center.shape:
-        raise ValueError(f"dimension mismatch: point {u.shape} vs center {center.shape}")
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    return u, center
-
-
-def project_l2_ball(u, center, radius: float) -> np.ndarray:
-    """Euclidean projection of ``u`` onto the closed l2 ball."""
-    return project_l2_ball_unchecked(*_checked_ball(u, center, radius), radius)
-
-
-def project_l2_ball_unchecked(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """``project_l2_ball`` on finite float64 vectors of equal length, ``radius >= 0``."""
-    d = u - center
-    nd = math.sqrt(d @ d)
-    if nd <= radius:
-        return u.copy()
-    return center + d * (radius / nd)
-
-
-def project_linf_ball(u, center, radius: float) -> np.ndarray:
-    """Euclidean projection of ``u`` onto the closed l-infinity ball
-    (componentwise clamp)."""
-    return project_linf_ball_unchecked(*_checked_ball(u, center, radius), radius)
-
-
-def project_linf_ball_unchecked(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """``project_linf_ball`` on finite float64 vectors of equal length, ``radius >= 0``."""
-    return center + np.clip(u - center, -radius, radius)
+    return (u[:, :r] * s[:r]) @ vt[:r], tail

@@ -1,5 +1,4 @@
-"""Convex l1 recovery programs, their unrolled iterations, and (re-exported
-from ``bounds``) the forward operators for quadratic measurements.
+"""Convex l1 recovery programs and their unrolled iterations.
 
 One first-order primal-dual engine drives four programs: PDHG (proximal
 steps on both sides) in the restarted, reflected Halpern form of Lu & Yang
@@ -43,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import DEFAULT_SUPPORT_CAP, lowrank_forward, phase_retrieval_forward, support_chunks, support_count
+from .bounds import DEFAULT_SUPPORT_CAP, support_chunks, support_count
 from .network import map_rows
 from .numerics import (
     RANK_TOLERANCE,
@@ -51,13 +50,12 @@ from .numerics import (
     as_vector,
     check_measurement,
     check_signal,
-    matrix_norm,
     numerical_rank,
-    project_l2_ball_unchecked,
-    project_linf_ball_unchecked,
+    read_only_copy,
     row_norms,
     soft_threshold,
     soft_threshold_unchecked,
+    spectral_norm,
     sphere_noise,
 )
 
@@ -85,9 +83,7 @@ class ProblemSpec:
     parameter: float
 
     def __post_init__(self):
-        a, y = check_measurement(self.a, self.y)
-        a.setflags(write=False)
-        y.setflags(write=False)
+        a, y = map(read_only_copy, check_measurement(self.a, self.y))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y", y)
         if self.variant not in VARIANTS:
@@ -173,6 +169,21 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(mag - theta, 0.0)
 
 
+def _project_l2_ball(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection onto the closed l2 ball (``radius >= 0``)."""
+    d = u - center
+    nd = math.sqrt(d @ d)
+    if nd <= radius:
+        return u.copy()
+    return center + d * (radius / nd)
+
+
+def _project_linf_ball(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection onto the closed l-infinity ball (``radius >= 0``):
+    a componentwise clamp."""
+    return center + np.clip(u - center, -radius, radius)
+
+
 def _data_term(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """(K, c) of the data term g(K z - c): (A, y), or (A^T A, A^T y) for
     dantzig."""
@@ -216,7 +227,7 @@ def _variant_operators(problem: ProblemSpec):
             return 2.0 * (u - s * c) / (s + 2.0)
 
     else:
-        project = project_l2_ball_unchecked if problem.variant == "qcbp" else project_linf_ball_unchecked
+        project = _project_l2_ball if problem.variant == "qcbp" else _project_linf_ball
 
         def prox_dual(u, s):
             return u - s * project(u / s, c, t)
@@ -256,7 +267,7 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
     Otherwise the restart goes ahead unchanged.
     """
     k, prox_primal, prox_dual = _variant_operators(problem)
-    step = 0.95 / max(matrix_norm(k, "spectral"), 1e-30)
+    step = 0.95 / max(spectral_norm(k), 1e-30)
     p_tol = config.tol * min(1.0, problem.parameter) if problem.variant == "bpdn" else config.tol
     kt = k.T
     omega = 1.0
@@ -588,8 +599,8 @@ class Lista:
             raise ValueError("threshold must be non-negative")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "w1", read_only_copy(w1))
+        object.__setattr__(self, "w2", read_only_copy(w2))
 
 
 def lista_from_ista(a, lam: float, step_bound: float, depth: int) -> Lista:

@@ -10,7 +10,9 @@ from conftest import low_coherence_matrix
 from homogenlab.bounds import (
     DirectionSet,
     eckart_young_gap,
+    lowrank_forward,
     one_layer_lower_bound,
+    phase_retrieval_forward,
     rip_exhaustive,
     uat_negative_bound,
     uat_negative_matrix,
@@ -31,7 +33,7 @@ from homogenlab.network import (
     sigma_gamma_probe,
     unbiased_relu_net,
 )
-from homogenlab.numerics import matrix_norm, soft_threshold
+from homogenlab.numerics import soft_threshold, spectral_norm
 from homogenlab.solvers import (
     SolveConfig,
     bpdn,
@@ -42,8 +44,6 @@ from homogenlab.solvers import (
     lasso,
     lista_eval,
     lista_from_ista,
-    lowrank_forward,
-    phase_retrieval_forward,
     qcbp,
     selection_discontinuity_demo,
     solve,
@@ -255,7 +255,7 @@ def test_criterion_10_ista_lista():
         a = rng.standard_normal((5, 8))
         y = rng.standard_normal(5)
         lam = 0.2
-        step = matrix_norm(a, "spectral") ** 2
+        step = spectral_norm(a) ** 2
         traj = ista_run(a, y, lam, step, 50)
         net = lista_from_ista(a, lam, step, 50)
         assert np.max(np.abs(lista_eval(net, y, np.zeros(8)) - traj[-1])) <= 1e-12
@@ -263,7 +263,7 @@ def test_criterion_10_ista_lista():
         rng_t = np.random.default_rng([1011, trial])
         a = rng_t.standard_normal((6, 10))
         y = rng_t.standard_normal(6)
-        step = matrix_norm(a, "spectral") ** 2
+        step = spectral_norm(a) ** 2
         traj = ista_run(a, y, 0.15, step, 200)
         objs = [ista_objective(a, y, 0.15, z) for z in traj]
         assert all(later <= earlier + 1e-12 for earlier, later in zip(objs, objs[1:]))

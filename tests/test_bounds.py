@@ -9,8 +9,10 @@ from homogenlab.bounds import (
     DirectionSet,
     eckart_young_gap,
     empirical_conditioning,
+    lowrank_forward,
     lowrank_rip_sample,
     one_layer_lower_bound,
+    phase_retrieval_forward,
     rip_exhaustive,
     support_chunks,
     support_count,
@@ -19,7 +21,7 @@ from homogenlab.bounds import (
 )
 from homogenlab.homogenize import FitConfig, fit_regression
 from homogenlab.network import evaluate, unbiased_relu_net
-from homogenlab.solvers import brute_force_sparse_fit, lowrank_forward, phase_retrieval_forward
+from homogenlab.solvers import brute_force_sparse_fit
 
 
 def gram_eigen_tail_oracle(x, m):
@@ -58,6 +60,19 @@ class TestOneLayerLowerBound:
     def test_non_unit_columns_rejected(self):
         with pytest.raises(ValueError, match="norm"):
             DirectionSet(np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+    def test_non_unit_column_message_is_a_plain_number(self):
+        with pytest.raises(ValueError) as info:
+            DirectionSet(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]))
+        assert str(info.value) == "column 2 has l2 norm 0.7071067811865476, expected 1"
+
+    def test_holds_a_read_only_copy(self):
+        x = np.eye(3)
+        directions = DirectionSet(x)
+        assert x.flags.writeable
+        x[0, 0] = np.nan
+        assert np.array_equal(directions.columns, np.eye(3))
+        assert not directions.columns.flags.writeable
 
     def test_empty_direction_set_rejected(self):
         with pytest.raises(ValueError, match="need at least one direction"):
@@ -365,8 +380,6 @@ class TestLowrankRipSample:
         a = rng.standard_normal((5, 4))
         u = rng.standard_normal(4)
         u /= np.linalg.norm(u)
-        from homogenlab.solvers import lowrank_forward
-
         vals = lowrank_forward(a, np.outer(u, u))
         assert np.all(vals >= -1e-12)
         assert np.allclose(np.abs(vals).sum() / 5, phase_retrieval_forward(a, u).sum() / 5)

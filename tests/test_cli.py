@@ -116,6 +116,8 @@ REJECTED_NUMBERS = [
     ["recovery-experiment", "--n", "6", "--m", "4", "--seed", "552", "--out", "{out}", "--densify", "-1"],
     ["robustness", "--net", "{net}", "--in", "{a}", "--x", "1,0,0", "--levels", "0.1", "--seed", "1",
      "--out", "{out}", "--trials", "0"],
+    ["convert-activation", "--in", "{net}", "--beta", "0", "--out", "{out}", "--alpha", "1e-200"],
+    ["convert-activation", "--in", "{net}", "--beta", "0", "--out", "{out}", "--alpha", "1e200"],
 ]
 
 

@@ -81,6 +81,17 @@ def mixed_nets(rng):
     return nets
 
 
+class TestLayerSpec:
+    def test_holds_read_only_copies(self, rng):
+        big, b = rng.standard_normal((4, 3)), rng.standard_normal(2)
+        w_before, b_before = big[:2].copy(), b.copy()
+        layer = LayerSpec(big[:2], b)
+        assert big.flags.writeable and b.flags.writeable
+        big[:] = b[:] = np.nan
+        assert np.array_equal(layer.weights, w_before) and np.array_equal(layer.bias, b_before)
+        assert not layer.weights.flags.writeable and not layer.bias.flags.writeable
+
+
 class TestEvaluate:
     def test_identity_gadget(self, rng):
         eye = np.eye(3)
@@ -275,6 +286,23 @@ class TestActivationConversion:
             convert_relu_to_activation(net, 1.0, -1.0)
         with pytest.raises(ValueError, match="degenerate"):
             convert_relu_to_activation(net, 1.0, 1.0)
+        # alpha^2 - beta^2 underflows to 0, overflows to inf, or is inf - inf
+        for alpha, beta in [(1e-200, 0.0), (1e200, 0.0), (1e160, 1e159)]:
+            with pytest.raises(ValueError) as info:
+                convert_relu_to_activation(net, alpha, beta)
+            assert str(info.value) == (
+                f"alpha^2 - beta^2 underflows or overflows for alpha={alpha!r}, beta={beta!r}"
+            )
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"^activation coefficients must be finite$"):
+                convert_relu_to_activation(net, alpha, 0.0)
+
+    def test_small_normal_denominator_still_converts(self, rng):
+        # alpha^2 = 1e-300 is still a normal float
+        net = random_unbiased_net(rng, [3, 5, 2])
+        converted = convert_relu_to_activation(net, 1e-150, 0.0)
+        x = rng.standard_normal((50, 3))
+        np.testing.assert_allclose(evaluate(converted, x), evaluate(net, x), rtol=1e-12, atol=1e-12)
 
     def test_biased_net_rejected(self, rng):
         net = NetworkSpec(

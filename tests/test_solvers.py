@@ -5,9 +5,10 @@ import pytest
 
 from conftest import low_coherence_matrix
 from homogenlab import solvers
+from homogenlab.bounds import lowrank_forward, phase_retrieval_forward
 from homogenlab.experiments import gaussian_matrix
 from homogenlab.network import PROBE_CHUNK, ActivationSpec, LayerSpec, NetworkSpec, evaluate
-from homogenlab.numerics import matrix_norm, soft_threshold
+from homogenlab.numerics import soft_threshold, spectral_norm
 from homogenlab.solvers import (
     SolveConfig,
     bpdn,
@@ -18,8 +19,6 @@ from homogenlab.solvers import (
     lasso,
     lista_eval,
     lista_from_ista,
-    lowrank_forward,
-    phase_retrieval_forward,
     qcbp,
     robustness_scan,
     selection_discontinuity_demo,
@@ -67,6 +66,15 @@ class TestProblemSpec:
             qcbp(rank_deficient, [1.0, 0.0, 0.0], 0.5)
         qcbp(rank_deficient, [1.0, 0.0, 0.0], 0.97)
         qcbp(rank_deficient, [0.1, 0.2, 0.3], 0.0)
+
+    def test_holds_read_only_copies(self, rng):
+        a, y = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        a_before, y_before = a.copy(), y.copy()
+        problem = bpdn(a, y, 0.1)
+        assert a.flags.writeable and y.flags.writeable
+        a[0, 0] = y[0] = np.nan
+        assert np.array_equal(problem.a, a_before) and np.array_equal(problem.y, y_before)
+        assert not problem.a.flags.writeable and not problem.y.flags.writeable
 
 
 class TestSolveClosedForms:
@@ -465,7 +473,7 @@ class TestIsta:
             a = rng.standard_normal((6, 10))
             y = rng.standard_normal(6)
             lam = 0.1
-            step = matrix_norm(a, "spectral") ** 2
+            step = spectral_norm(a) ** 2
             traj = ista_run(a, y, lam, step, 200)
             objs = [ista_objective(a, y, lam, z) for z in traj]
             assert all(o2 <= o1 + 1e-12 for o1, o2 in zip(objs, objs[1:]))
@@ -492,7 +500,7 @@ class TestLista:
         a = rng.standard_normal((5, 8))
         y = rng.standard_normal(5)
         lam = 0.2
-        step = matrix_norm(a, "spectral") ** 2
+        step = spectral_norm(a) ** 2
         depth = 50
         traj = ista_run(a, y, lam, step, depth)
         net = lista_from_ista(a, lam, step, depth)
@@ -535,6 +543,27 @@ class TestLista:
         net = lista_from_ista(np.ones((2, 3)), 0.1, 6.0, 2)
         with pytest.raises(ValueError, match=r"^signal length 2 does not match 3 columns$"):
             lista_eval(net, np.ones(2), np.ones(2))
+
+    def test_holds_read_only_copies(self):
+        from homogenlab.solvers import Lista
+
+        w1, w2 = np.eye(2), np.ones((2, 1))
+        net = Lista(w1, w2, 0.1, 3)
+        before = lista_eval(net, [1.0])
+        assert w1.flags.writeable and w2.flags.writeable
+        w1[0, 0] = w2[0, 0] = np.nan
+        assert np.array_equal(lista_eval(net, [1.0]), before)
+        assert not net.w1.flags.writeable and not net.w2.flags.writeable
+
+    def test_matches_the_steps_written_out_bitwise(self, rng):
+        # W2 = A^T / L is F-ordered; a copy in another order changes W2 @ y.
+        a, y = rng.standard_normal((5, 8)), rng.standard_normal(5)
+        lam, step, depth = 0.2, spectral_norm(a) ** 2, 30
+        w1, w2 = np.eye(8) - (a.T @ a) / step, a.T / step
+        x = np.zeros(8)
+        for _ in range(depth):
+            x = soft_threshold(w1 @ x + w2 @ y, lam / step)
+        assert np.array_equal(lista_eval(lista_from_ista(a, lam, step, depth), y), x)
 
 
 class TestForwardOperators:
@@ -589,7 +618,7 @@ class TestRobustnessScan:
     def test_linear_map_bounded_by_spectral_norm(self, rng):
         m = rng.standard_normal((3, 4))
         rows = robustness_scan(lambda y: y @ m.T, np.eye(4), rng.standard_normal(4), [0.1, 1.0], 10, seed=3)
-        bound = matrix_norm(m, "spectral")
+        bound = spectral_norm(m)
         assert len(rows) == 20
         for _, _, ratio in rows:
             assert ratio <= bound + 1e-9
