@@ -1,6 +1,6 @@
 """homogenlab: scale-invariant (bias-free) ReLU networks for linear inverse problems."""
 
-from .numerics import rank_truncate, soft_threshold, spectral_norm
+from .numerics import rank_truncate, spectral_norm
 from .network import (
     ActivationSpec,
     HomogeneityReport,

@@ -108,12 +108,8 @@ def one_layer_lower_bound(m: int, directions: DirectionSet) -> float:
     once m reaches the number of directions."""
     if m < 0:
         raise ValueError("number of measurements must be non-negative")
-    n_dirs = directions.count
-    if m >= n_dirs:
-        return 0.0
     s = singular_values(directions.columns)
-    tail = s[m:] if m < s.size else np.array([])
-    return float(np.sqrt(np.sum(tail**2) / n_dirs))
+    return float(np.sqrt(np.sum(s[m:] ** 2) / directions.count))
 
 
 def uat_negative_matrix(w) -> np.ndarray:

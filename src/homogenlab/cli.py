@@ -55,14 +55,14 @@ def _floats(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def _ints(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _load_net(path) -> network.NetworkSpec:

@@ -167,8 +167,6 @@ def impossibility_experiment(
     widths = [int(w) for w in widths]
     if not widths:
         raise ValueError("need at least one width")
-    if any(w < 1 for w in widths):
-        raise ValueError("widths must be at least 1")
     a = gaussian_matrix(np.random.default_rng([fit.seed, 0]), m, n)
     bound = one_layer_lower_bound(m, DirectionSet.identity(n))
     targets = _signed_basis(n)

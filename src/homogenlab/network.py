@@ -143,10 +143,6 @@ class NetworkSpec:
         return self.layers[0].in_dim
 
     @property
-    def output_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-    @property
     def hidden_widths(self) -> tuple[int, ...]:
         return tuple(layer.out_dim for layer in self.layers[:-1])
 
@@ -164,9 +160,8 @@ def unbiased_relu_net(weight_list: Sequence) -> NetworkSpec:
 def evaluate(net: NetworkSpec, x) -> np.ndarray:
     """Forward pass: activation on hidden layers, final layer affine.
 
-    A vector of length ``input_dim`` maps to a vector of length
-    ``output_dim``; an (N, input_dim) batch maps to (N, output_dim), one row
-    per input row.
+    A vector of length ``input_dim`` maps to a vector of the last layer's
+    output width; an (N, input_dim) batch maps to N such rows.
     """
     x = np.asarray(x, dtype=np.float64)
     h = as_matrix(x, "input batch") if x.ndim == 2 else as_vector(x, "input")[None, :]

@@ -1,4 +1,4 @@
-"""Dense linear algebra and proximal primitives shared by the rest of the package.
+"""Dense linear algebra primitives shared by the rest of the package.
 
 Everything works on float64 numpy arrays and is a pure function of its inputs,
 a random generator counting as one. Non-finite input, dimension mismatches
@@ -79,22 +79,6 @@ def numerical_rank(m) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
-
-
-def soft_threshold(t, z: float):
-    """Shrink ``t`` towards zero by ``z``: sign(t) * max(|t| - z, 0).
-
-    Works componentwise on arrays; scalars come back as floats.
-    """
-    if z < 0:
-        raise ValueError(f"threshold must be non-negative, got {z}")
-    out = soft_threshold_unchecked(np.asarray(t, dtype=np.float64), z)
-    return float(out) if out.ndim == 0 else out
-
-
-def soft_threshold_unchecked(t: np.ndarray, z: float) -> np.ndarray:
-    """``soft_threshold`` on a float64 array with ``z >= 0`` already checked."""
-    return np.sign(t) * np.maximum(np.abs(t) - z, 0.0)
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:

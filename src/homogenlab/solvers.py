@@ -53,8 +53,6 @@ from .numerics import (
     numerical_rank,
     read_only_copy,
     row_norms,
-    soft_threshold,
-    soft_threshold_unchecked,
     spectral_norm,
     sphere_noise,
 )
@@ -152,6 +150,12 @@ class SolveReport:
     dual: np.ndarray
 
 
+def _soft_threshold(t: np.ndarray, z: float) -> np.ndarray:
+    """Shrink every entry of ``t`` towards zero by ``z >= 0``:
+    sign(t) * max(|t| - z, 0), the prox of z ||.||_1."""
+    return np.sign(t) * np.maximum(np.abs(t) - z, 0.0)
+
+
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball (``radius >= 0``) via the
     sorted-threshold rule."""
@@ -166,7 +170,7 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     positive = drop - (cumulative - radius) / idx > 0
     k = int(np.max(np.nonzero(positive)[0])) + 1
     theta = (cumulative[k - 1] - radius) / k
-    return np.sign(v) * np.maximum(mag - theta, 0.0)
+    return _soft_threshold(v, theta)
 
 
 def _project_l2_ball(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -217,10 +221,10 @@ def _variant_operators(problem: ProblemSpec):
     elif problem.variant == "bpdn":
 
         def prox_primal(z, step):
-            return soft_threshold_unchecked(z, step * t)
+            return _soft_threshold(z, step * t)
 
     else:  # weight 1: the step is the threshold
-        prox_primal = soft_threshold_unchecked
+        prox_primal = _soft_threshold
     if problem.variant in ("bpdn", "lasso"):
 
         def prox_dual(u, s):
@@ -550,25 +554,24 @@ def _check_shrinkage(lam: float, step_bound: float) -> None:
         raise ValueError("lambda must be a non-negative finite number")
 
 
-def ista_run(a, y, lam: float, step_bound: float, iters: int, x0=None) -> np.ndarray:
+def ista_run(a, y, lam: float, step_bound: float, iters: int) -> np.ndarray:
     """Iterative shrinkage-thresholding trajectory for
     min lam ||z||_1 + (1/2) ||A z - y||_2^2:
     x <- eta_{lam/L}(x - (1/L) A^T (A x - y)).
 
-    Returns the (iters + 1, n) array of iterates including the start. With
+    Returns the (iters + 1, n) array of iterates from the zero start. With
     L >= sigma_max(A)^2 the objective is non-increasing along the trajectory.
     """
     a, y = check_measurement(a, y)
     _check_shrinkage(lam, step_bound)
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
-    n = a.shape[1]
-    x = np.zeros(n) if x0 is None else check_signal(a, x0)[1]
-    trajectory = np.empty((iters + 1, n))
+    x = np.zeros(a.shape[1])
+    trajectory = np.empty((iters + 1, x.size))
     trajectory[0] = x
     threshold = lam / step_bound
     for i in range(1, iters + 1):
-        x = soft_threshold(x - (a.T @ (a @ x - y)) / step_bound, threshold)
+        x = _soft_threshold(x - (a.T @ (a @ x - y)) / step_bound, threshold)
         trajectory[i] = x
     return trajectory
 
@@ -595,7 +598,7 @@ class Lista:
             raise ValueError(f"w1 must be square, got {w1.shape}")
         if w2.shape[0] != w1.shape[0]:
             raise ValueError(f"w2 rows {w2.shape[0]} do not match state size {w1.shape[0]}")
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError("threshold must be non-negative")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
@@ -611,12 +614,13 @@ def lista_from_ista(a, lam: float, step_bound: float, depth: int) -> Lista:
     return Lista(np.eye(a.shape[1]) - (a.T @ a) / step_bound, a.T / step_bound, lam / step_bound, depth)
 
 
-def lista_eval(net: Lista, y, x0=None) -> np.ndarray:
-    """``net.depth`` shrinkage steps from ``x0`` (zeros when None)."""
+def lista_eval(net: Lista, y) -> np.ndarray:
+    """``net.depth`` shrinkage steps from zeros."""
     _, y = check_measurement(net.w2.T, y)
-    x = np.zeros(net.w1.shape[0]) if x0 is None else check_signal(net.w1, x0)[1].copy()
+    b = net.w2 @ y
+    x = np.zeros(net.w1.shape[0])
     for _ in range(net.depth):
-        x = soft_threshold(net.w1 @ x + net.w2 @ y, net.threshold)
+        x = _soft_threshold(net.w1 @ x + b, net.threshold)
     return x
 
 

@@ -171,6 +171,35 @@ def test_lista_depth_zero_checks_measurement_length(tmp_path, capsys):
     assert captured.err == "error: measurement length 4 does not match 2 rows\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--variant", "bpdn", "--in", "{a}", "--y", "1,a", "--lam", "0.1"],
+         "error: argument --y: expected comma-separated numbers, got '1,a'"),
+        (["impossibility-experiment", "--m", "2", "--n", "4", "--seed", "1", "--out", "{out}", "--widths", "4,x"],
+         "error: argument --widths: expected comma-separated integers, got '4,x'"),
+    ],
+    ids=["floats", "ints"],
+)
+def test_unparsable_list_names_the_flag(tmp_path, capsys, argv, message):
+    a_path, out = tmp_path / "a.csv", tmp_path / "out.csv"
+    write_matrix_csv(a_path, np.eye(2), "test", {})
+    assert run([arg.format(a=a_path, out=out) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == message
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_diverging_fits_are_flagged_not_dropped(tmp_path):
+    out = tmp_path / "imp.csv"
+    argv = ["impossibility-experiment", "--m", "2", "--n", "4", "--widths", "4,8", "--seed", "3"]
+    assert run(argv + ["--learning-rate", "1e6", "--steps", "50", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [(r[0], r[1], r[3], r[4]) for r in rows] == [("4", "nan", "nan", "0"), ("8", "nan", "nan", "0")]
+
+
 def test_lower_bound_without_directions_exits_one(capsys):
     assert run(["lower-bound", "--m", "1", "--identity-n", "0"]) == 1
     captured = capsys.readouterr()
@@ -194,6 +223,22 @@ class TestPrintedValues:
     def test_uat_negative_bound(self, capsys):
         assert run(["uat-negative", "--n", "8"]) == 0
         assert capsys.readouterr().out.strip() == "0.86602540"
+
+    def test_uat_negative_matrix_prints_the_file_rows(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert run(["uat-negative", "--w", "0.5,-1,2", "--out", str(out)]) == 0
+        assert run(["uat-negative", "--w", "0.5,-1,2"]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert lines[0].startswith(b"#")
+        assert capsys.readouterr().out.encode() == b"".join(lines[1:])
+
+    def test_lower_bound_from_a_file(self, tmp_path, capsys):
+        a_path = tmp_path / "eye.csv"
+        write_matrix_csv(a_path, np.eye(3), "test", {})
+        assert run(["lower-bound", "--m", "1", "--identity-n", "3"]) == 0
+        want = capsys.readouterr().out
+        assert run(["lower-bound", "--m", "1", "--in", str(a_path)]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestNetworkPipeline:
@@ -531,6 +576,24 @@ def test_configuration_lines(cli_inputs, capsys, argv, lines):
     for name, line in lines.items():
         first = (cli_inputs / name).read_text().splitlines()[0]
         assert first == line.format(tmp=cli_inputs, rip_delta=rip_delta)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "ista --in {tmp}/d.csv --y 1,0.5 --lam 0.1 --iters 3",
+        "lista --in {tmp}/d.csv --y 1,0.5 --lam 0.1 --depth 3",
+        "robustness --net {tmp}/net.json --in {tmp}/a.csv --x 1,0,-1 --levels 0.01,0.1 --trials 2 --seed 3",
+    ],
+    ids=["ista", "lista", "robustness"],
+)
+def test_stdout_carries_the_file_bytes(cli_inputs, capsys, argv):
+    argv = argv.format(tmp=cli_inputs).split()
+    out = cli_inputs / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 @pytest.mark.parametrize("variant, flag", [("qcbp", "eta"), ("bpdn", "lam"), ("lasso", "tau"), ("dantzig", "eta")])

@@ -216,6 +216,9 @@ class TestMcshaneExtension:
         with pytest.raises(ValueError, match="need at least one sample"):
             minimal_consistent_lipschitz(np.zeros((0, 2)), np.zeros(0))
 
+    def test_one_sample_needs_no_constant(self):
+        assert minimal_consistent_lipschitz(np.array([[1.0, -2.0]]), np.array([3.0])) == 0.0
+
     def test_non_finite_values_rejected_by_minimal_constant(self):
         with pytest.raises(ValueError, match="values contains non-finite"):
             minimal_consistent_lipschitz(np.array([[0.0], [1.0]]), np.array([0.0, np.nan]))

@@ -304,6 +304,12 @@ class TestActivationConversion:
         x = rng.standard_normal((50, 3))
         np.testing.assert_allclose(evaluate(converted, x), evaluate(net, x), rtol=1e-12, atol=1e-12)
 
+    def test_no_hidden_layer_keeps_its_layers(self, rng):
+        net = random_unbiased_net(rng, [3, 2])
+        converted = convert_relu_to_activation(net, 2.0, 1.0)
+        assert converted.layers is net.layers
+        assert converted.activation == ActivationSpec.relu_family(2.0, 1.0)
+
     def test_biased_net_rejected(self, rng):
         net = NetworkSpec(
             (LayerSpec(rng.standard_normal((4, 2)), rng.standard_normal(4)), LayerSpec(rng.standard_normal((1, 4)))),

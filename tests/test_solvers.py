@@ -8,9 +8,10 @@ from homogenlab import solvers
 from homogenlab.bounds import lowrank_forward, phase_retrieval_forward
 from homogenlab.experiments import gaussian_matrix
 from homogenlab.network import PROBE_CHUNK, ActivationSpec, LayerSpec, NetworkSpec, evaluate
-from homogenlab.numerics import soft_threshold, spectral_norm
+from homogenlab.numerics import spectral_norm
 from homogenlab.solvers import (
     SolveConfig,
+    _soft_threshold,
     bpdn,
     brute_force_sparse_fit,
     dantzig,
@@ -108,7 +109,7 @@ class TestSolveClosedForms:
         y = np.array([3.0, 0.5])
         report = solve(dantzig(np.eye(2), y, 1.0))
         assert report.converged
-        want = soft_threshold(y, 1.0)
+        want = _soft_threshold(y, 1.0)
         assert np.allclose(report.solution, want, atol=1e-8)
 
     def test_converged_reports_pass_independent_verifier(self, rng):
@@ -269,7 +270,7 @@ class TestPolish:
             (lasso(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [1.0, 0.0]),
             # The budget is inactive: the answer is the least-squares fit.
             (lasso(np.eye(2), [3.0, 0.0], 10.0), SolveConfig(), [3.0, 0.0]),
-            (dantzig(np.eye(2), [3.0, 0.5], 1.0), SolveConfig(), soft_threshold(np.array([3.0, 0.5]), 1.0)),
+            (dantzig(np.eye(2), [3.0, 0.5], 1.0), SolveConfig(), _soft_threshold(np.array([3.0, 0.5]), 1.0)),
         ],
         ids=["qcbp-boundary", "bpdn-scalar", "lasso-budget", "lasso-inactive-budget", "dantzig-soft-threshold"],
     )
@@ -463,9 +464,9 @@ class TestIsta:
     def test_scalar_fixed_point(self):
         a = np.array([[1.0]])
         traj = ista_run(a, np.array([3.0]), 2.0, 1.0, 30)
-        # eta_2(3) = 1 is a fixed point; matches soft_threshold(3, 2)
+        # eta_2(3) = 1 is a fixed point; matches _soft_threshold([3], 2)
         assert traj[1, 0] == pytest.approx(1.0, abs=1e-14)
-        assert traj[-1, 0] == pytest.approx(soft_threshold(3.0, 2.0), abs=1e-12)
+        assert traj[-1, 0] == pytest.approx(_soft_threshold(np.array([3.0]), 2.0)[0], abs=1e-12)
 
     def test_objective_monotone_with_valid_step(self):
         for trial in range(20):
@@ -482,6 +483,13 @@ class TestIsta:
         with pytest.raises(ValueError):
             ista_run(np.eye(2), np.ones(2), 0.1, 0.0, 5)
 
+    def test_negative_lambda_rejected(self):
+        message = r"^lambda must be a non-negative finite number$"
+        with pytest.raises(ValueError, match=message):
+            ista_run(np.eye(2), np.ones(2), -0.1, 1.0, 2)
+        with pytest.raises(ValueError, match=message):
+            lista_from_ista(np.eye(2), -0.1, 1.0, 2)
+
     def test_measurement_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="measurement length 1 does not match 2 rows"):
             ista_run(np.eye(2), np.ones(1), 0.1, 1.0, 2)
@@ -490,12 +498,6 @@ class TestIsta:
 
 
 class TestLista:
-    def test_depth_zero_returns_start(self, rng):
-        a = rng.standard_normal((3, 4))
-        net = lista_from_ista(a, 0.1, 2.0, 0)
-        x0 = rng.standard_normal(4)
-        assert np.array_equal(lista_eval(net, rng.standard_normal(3), x0), x0)
-
     def test_reproduces_ista_trajectory(self, rng):
         a = rng.standard_normal((5, 8))
         y = rng.standard_normal(5)
@@ -504,7 +506,7 @@ class TestLista:
         depth = 50
         traj = ista_run(a, y, lam, step, depth)
         net = lista_from_ista(a, lam, step, depth)
-        endpoint = lista_eval(net, y, np.zeros(8))
+        endpoint = lista_eval(net, y)
         assert np.max(np.abs(endpoint - traj[-1])) <= 1e-12
 
     def test_mismatched_measurement_rejected(self, rng):
@@ -529,20 +531,16 @@ class TestLista:
         [
             (np.ones((3, 2)), np.ones((3, 2)), 0.1, 1, r"^w1 must be square"),
             (np.eye(3), np.ones((3, 2)), -0.1, 1, r"^threshold must be non-negative$"),
+            (np.eye(3), np.ones((3, 2)), np.nan, 1, r"^threshold must be non-negative$"),
             (np.eye(3), np.ones((3, 2)), 0.1, -1, r"^depth must be non-negative$"),
         ],
-        ids=["w1-not-square", "threshold", "depth"],
+        ids=["w1-not-square", "threshold", "threshold-nan", "depth"],
     )
     def test_tied_pair_rejected_by_rule(self, w1, w2, threshold, depth, message):
         from homogenlab.solvers import Lista
 
         with pytest.raises(ValueError, match=message):
             Lista(w1, w2, threshold, depth)
-
-    def test_start_is_checked_against_the_state(self):
-        net = lista_from_ista(np.ones((2, 3)), 0.1, 6.0, 2)
-        with pytest.raises(ValueError, match=r"^signal length 2 does not match 3 columns$"):
-            lista_eval(net, np.ones(2), np.ones(2))
 
     def test_holds_read_only_copies(self):
         from homogenlab.solvers import Lista
@@ -562,7 +560,7 @@ class TestLista:
         w1, w2 = np.eye(8) - (a.T @ a) / step, a.T / step
         x = np.zeros(8)
         for _ in range(depth):
-            x = soft_threshold(w1 @ x + w2 @ y, lam / step)
+            x = _soft_threshold(w1 @ x + w2 @ y, lam / step)
         assert np.array_equal(lista_eval(lista_from_ista(a, lam, step, depth), y), x)
 
 
