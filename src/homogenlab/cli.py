@@ -17,6 +17,7 @@ import numpy as np
 from . import bounds, experiments, homogenize, network, solvers
 from .experiments import (
     format_cell,
+    format_row,
     gaussian_matrix,
     read_matrix_csv,
     render_csv,
@@ -51,18 +52,21 @@ def _attach_negative_values(argv) -> list[str]:
     return out
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+def _list_of(kind, what: str):
+    """Argparse type of a comma-separated list of ``kind``: an empty value or
+    ``,`` alone is the empty list, and an empty entry is rejected."""
+
+    def parse(text: str) -> list:
+        try:
+            return [] if text in ("", ",") else [kind(part) for part in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from exc
+
+    return parse
 
 
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+_floats = _list_of(float, "numbers")
+_ints = _list_of(int, "integers")
 
 
 def _load_net(path) -> network.NetworkSpec:
@@ -138,12 +142,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lower-bound", help="one-hidden-layer reconstruction error floor for a direction set")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--identity-n", type=int)
-    p.add_argument("--in", dest="infile", help="CSV matrix whose columns are unit directions")
+    either = p.add_mutually_exclusive_group(required=True)
+    either.add_argument("--identity-n", type=int)
+    either.add_argument("--in", dest="infile", help="CSV matrix whose columns are unit directions")
 
     p = sub.add_parser("uat-negative", help="hard-instance bound or matrix for one-hidden-layer approximation")
-    p.add_argument("--n", type=int)
-    p.add_argument("--w", type=_floats, help="pairwise distinct slopes for the 2 x n matrix")
+    either = p.add_mutually_exclusive_group(required=True)
+    either.add_argument("--n", type=int)
+    either.add_argument("--w", type=_floats, help="pairwise distinct slopes for the 2 x n matrix")
     p.add_argument("--out")
 
     p = sub.add_parser("rip", help="exhaustive restricted-isometry constants")
@@ -251,28 +257,22 @@ _UNRECORDED = ("command", "out", "save_matrix", "save_net", "save_curves")
 
 
 def _config(args, **resolved) -> dict:
-    """Configuration line of an artifact: every flag of the subcommand in
-    declaration order, ``--in`` as ``in``, an absent flag as an empty value
-    and a list as its cells joined by ``;``. ``resolved`` replaces the value
+    """Configuration of an artifact: every flag of the subcommand in
+    declaration order, ``--in`` as ``in``. ``resolved`` replaces the value
     of a flag whose default the command worked out and appends settings
     without a flag and measured values."""
-    config = {}
-    for key, value in {**vars(args), **resolved}.items():
-        if key in _UNRECORDED:
-            continue
-        if value is None:
-            value = ""
-        elif isinstance(value, (list, tuple)):
-            value = ";".join(format_cell(v) for v in value)
-        config["in" if key == "infile" else key] = value
-    return config
+    return {
+        "in" if key == "infile" else key: value
+        for key, value in {**vars(args), **resolved}.items()
+        if key not in _UNRECORDED
+    }
 
 
-def _print_or_write(args, command, config, header, rows):
+def _print_or_write(args, config, header, rows):
     if getattr(args, "out", None):
-        write_csv(args.out, command, config, header, rows)
+        write_csv(args.out, args.command, config, header, rows)
     else:
-        sys.stdout.write(render_csv(command, config, header, rows))
+        sys.stdout.write(render_csv(args.command, config, header, rows))
 
 
 def _cmd_homogenize(args):
@@ -302,7 +302,7 @@ def _cmd_probe(args):
     report = network.check_positive_homogeneity(net, net.input_dim, probe)
     rows = [(report.max_defect, report.worst_scale, report.samples, report.passed)]
     if args.out:
-        write_csv(args.out, "probe-homogeneity", _config(args), ("max_defect", "worst_scale", "samples", "passed"), rows)
+        write_csv(args.out, args.command, _config(args), ("max_defect", "worst_scale", "samples", "passed"), rows)
     print(
         f"max_defect={format_cell(report.max_defect)} worst_scale={format_cell(report.worst_scale)} "
         f"samples={report.samples} passed={str(report.passed).lower()}"
@@ -311,8 +311,6 @@ def _cmd_probe(args):
 
 
 def _cmd_lower_bound(args):
-    if (args.identity_n is None) == (args.infile is None):
-        raise ValueError("provide exactly one of --identity-n or --in")
     if args.identity_n is not None:
         directions = bounds.DirectionSet.identity(args.identity_n)
     else:
@@ -322,18 +320,15 @@ def _cmd_lower_bound(args):
 
 
 def _cmd_uat_negative(args):
-    if (args.n is None) == (args.w is None):
-        raise ValueError("provide exactly one of --n or --w")
     if args.n is not None:
         print(f"{bounds.uat_negative_bound(args.n):.8f}")
         return 0
     matrix = bounds.uat_negative_matrix(np.array(args.w))
-    config = {"w": ";".join(format_cell(v) for v in args.w)}
     if args.out:
-        write_matrix_csv(args.out, matrix, "uat-negative", config)
+        write_matrix_csv(args.out, matrix, args.command, {"w": args.w})
     else:
         for row in matrix:
-            print(",".join(format_cell(v) for v in row))
+            print(format_row(row))
     return 0
 
 
@@ -342,10 +337,10 @@ def _cmd_rip(args):
     report = bounds.rip_exhaustive(a, args.order, args.cap)
     config = _config(args)
     if args.save_matrix:
-        write_matrix_csv(args.save_matrix, a, "rip", config)
+        write_matrix_csv(args.save_matrix, a, args.command, config)
     rows = [(report.order, report.delta, report.delta_lb, report.delta_ub, report.supports_checked)]
     if args.out:
-        write_csv(args.out, "rip", config, ("order", "delta", "delta_lb", "delta_ub", "supports_checked"), rows)
+        write_csv(args.out, args.command, config, ("order", "delta", "delta_lb", "delta_ub", "supports_checked"), rows)
     print(
         f"delta={format_cell(report.delta)} delta_lb={format_cell(report.delta_lb)} "
         f"delta_ub={format_cell(report.delta_ub)} supports={report.supports_checked}"
@@ -362,7 +357,7 @@ def _cmd_conditioning(args):
     )
     rows = [(report.tau_hat, report.rho_hat, report.pairs_sampled, report.norm_ii_tag, report.norm_equiv_M)]
     if args.out:
-        write_csv(args.out, "conditioning", _config(args), ("tau_hat", "rho_hat", "pairs_sampled", "norm_ii", "norm_equiv_M"), rows)
+        write_csv(args.out, args.command, _config(args), ("tau_hat", "rho_hat", "pairs_sampled", "norm_ii", "norm_equiv_M"), rows)
     print(
         f"tau_hat={format_cell(report.tau_hat)} rho_hat={format_cell(report.rho_hat)} "
         f"pairs={report.pairs_sampled} norm_equiv_M={format_cell(report.norm_equiv_M)}"
@@ -380,7 +375,7 @@ def _cmd_lowrank_rip(args):
         a = np.random.default_rng([args.seed, 0]).standard_normal((args.m, args.n))
     lb, ub = bounds.lowrank_rip_sample(a, args.rank, args.samples, args.seed)
     if args.out:
-        write_csv(args.out, "lowrank-rip", _config(args), ("delta_lb_hat", "delta_ub_hat"), [(lb, ub)])
+        write_csv(args.out, args.command, _config(args), ("delta_lb_hat", "delta_ub_hat"), [(lb, ub)])
     print(f"delta_lb_hat={format_cell(lb)} delta_ub_hat={format_cell(ub)}")
     return 0
 
@@ -400,9 +395,9 @@ def _cmd_solve(args):
     header = fields + tuple(f"z{i}" for i in range(report.solution.size))
     rows = [tuple(getattr(report, field) for field in fields) + tuple(report.solution)]
     if args.out:
-        write_csv(args.out, "solve", _config(args), header, rows)
+        write_csv(args.out, args.command, _config(args), header, rows)
     print(
-        f"solution={','.join(format_cell(v) for v in report.solution)} "
+        f"solution={format_row(report.solution)} "
         f"objective={format_cell(report.objective)} iterations={report.iterations} "
         f"converged={str(report.converged).lower()} uniqueness={report.uniqueness}"
     )
@@ -426,7 +421,7 @@ def _cmd_ista(args):
         (k, solvers.ista_objective(a, y, args.lam, trajectory[k])) + tuple(trajectory[k])
         for k in range(trajectory.shape[0])
     ]
-    _print_or_write(args, "ista", _config(args, step_bound=step_bound), header, rows)
+    _print_or_write(args, _config(args, step_bound=step_bound), header, rows)
     return 0
 
 
@@ -436,7 +431,7 @@ def _cmd_lista(args):
     net = solvers.lista_from_ista(a, args.lam, step_bound, args.depth)
     final = solvers.lista_eval(net, args.y)
     header = tuple(f"z{i}" for i in range(final.size))
-    _print_or_write(args, "lista", _config(args, step_bound=step_bound), header, [tuple(final)])
+    _print_or_write(args, _config(args, step_bound=step_bound), header, [tuple(final)])
     return 0
 
 
@@ -444,8 +439,7 @@ def _cmd_brute_force(args):
     a = read_matrix_csv(args.infile)
     support, coeffs, residual = solvers.brute_force_sparse_fit(a, np.array(args.y), args.s, args.cap)
     print(
-        f"support={','.join(str(i) for i in support)} "
-        f"coefficients={','.join(format_cell(v) for v in coeffs)} "
+        f"support={format_row(support)} coefficients={format_row(coeffs)} "
         f"residual={format_cell(residual)}"
     )
     return 0
@@ -455,7 +449,7 @@ def _cmd_robustness(args):
     net = _load_net(args.net)
     a = read_matrix_csv(args.infile)
     rows = solvers.robustness_scan(net, a, np.array(args.x), args.levels, args.trials, args.seed)
-    _print_or_write(args, "robustness", _config(args), ("noise_level", "trial", "ratio"), rows)
+    _print_or_write(args, _config(args), ("noise_level", "trial", "ratio"), rows)
     return 0
 
 
@@ -471,13 +465,13 @@ def _cmd_counterexample(args):
 def _cmd_impossibility(args):
     fit = _fit_config(args, width=1)
     a, rows = experiments.impossibility_experiment(args.m, args.n, args.widths, fit)
-    write_csv(args.out, "impossibility-experiment", _config(args), experiments.IMPOSSIBILITY_HEADER, rows)
+    write_csv(args.out, args.command, _config(args), experiments.IMPOSSIBILITY_HEADER, rows)
     return 0
 
 
 def _cmd_recovery(args):
     fit = _fit_config(args, optimizer="adam")
-    curves = {} if args.save_curves else None
+    curves = [] if args.save_curves else None
     a, net, rip, rows = experiments.recovery_experiment(
         args.n,
         args.m,
@@ -493,19 +487,8 @@ def _cmd_recovery(args):
     if args.save_net:
         _save_net(args.save_net, net)
     if args.save_curves:
-        curve_rows = [
-            (coord, restart, step, mse)
-            for coord in sorted(curves)
-            for restart, step, mse in curves[coord]
-        ]
-        write_csv(
-            args.save_curves,
-            "recovery-experiment",
-            config,
-            ("coordinate", "restart", "step", "mse"),
-            curve_rows,
-        )
-    write_csv(args.out, "recovery-experiment", config, experiments.RECOVERY_HEADER, rows)
+        write_csv(args.save_curves, args.command, config, ("coordinate", "restart", "step", "mse"), curves)
+    write_csv(args.out, args.command, config, experiments.RECOVERY_HEADER, rows)
     return 0
 
 

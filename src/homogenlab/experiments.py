@@ -31,12 +31,24 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def format_row(cells) -> str:
+    """One CSV row: every cell through ``format_cell``, comma-separated."""
+    return ",".join(format_cell(cell) for cell in cells)
+
+
 #: A bare value holding one of these would not read back whole via shlex.split.
 _NEEDS_QUOTES = re.compile(r"[\s'\"\\]")
 
 
 def _config_value(value) -> str:
-    text = format_cell(value)
+    """A config value as written: None as empty, a list or tuple as its cells
+    joined by ``;``, anything else through ``format_cell``."""
+    if value is None:
+        text = ""
+    elif isinstance(value, (list, tuple)):
+        text = ";".join(format_cell(v) for v in value)
+    else:
+        text = format_cell(value)
     return shlex.quote(text) if _NEEDS_QUOTES.search(text) else text
 
 
@@ -51,8 +63,7 @@ def config_line(command: str, config: dict) -> str:
 
 def render_csv(command: str, config: dict, header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [config_line(command, config), ",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
+    lines += [format_row(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -95,8 +106,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def write_matrix_csv(path, m: np.ndarray, command: str, config: dict) -> None:
     lines = [config_line(command, config)]
-    for row in np.atleast_2d(m):
-        lines.append(",".join(format_cell(v) for v in row))
+    lines += [format_row(row) for row in np.atleast_2d(m)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -208,7 +218,7 @@ def recovery_experiment(
     num_signals: int | None = None,
     densify_points: int = DENSIFY_POINTS,
     rip_threshold: float = 1.0,
-    curves: dict[int, list] | None = None,
+    curves: list | None = None,
 ) -> tuple[np.ndarray, NetworkSpec, "object", list[tuple]]:
     """Build the two-hidden-layer recovery net for a seeded Gaussian map and
     tabulate its errors on exactly sparse, approximately sparse, and noisy

@@ -194,9 +194,7 @@ def minimal_consistent_lipschitz(points, values) -> float:
     mutually consistent (0 for a single sample)."""
     _, _, dists, gaps = _pairwise_gaps(points, values)
     mask = dists > 0
-    if not mask.any():
-        return 0.0
-    return float(np.max(gaps[mask] / dists[mask]))
+    return float(np.max(gaps[mask] / dists[mask], initial=0.0))
 
 
 def _init_params(width, seed, restart, in_dim, out_dim, unbiased) -> np.ndarray:
@@ -409,7 +407,7 @@ def fit_regressions(
     when they fall in a later stack. Pass one list per config as ``curves``
     to collect its (restart, step, mse) rows.
     """
-    u = as_matrix(np.atleast_2d(np.asarray(inputs, dtype=np.float64)), "inputs")
+    u = as_rows(inputs, "inputs")
     t = as_rows(targets, "targets")
     if u.shape[0] == 0:
         raise ValueError("no training data")
@@ -489,7 +487,7 @@ def build_inverse_recovery_net(
     signals,
     fit: FitConfig,
     densify_points: int = DENSIFY_POINTS,
-    curves: dict[int, list] | None = None,
+    curves: list | None = None,
 ) -> NetworkSpec:
     """End-to-end construction of a bias-free two-hidden-layer relu network
     approximately inverting x -> A x on the (N, n) signal rows x_i.
@@ -500,6 +498,9 @@ def build_inverse_recovery_net(
     smallest one consistent with the data plus 5% headroom; fit one
     hidden layer per output coordinate; put the n fits side by side in one
     net (stacked hidden layers, block-diagonal output weights) and lift it.
+
+    Pass a list as ``curves`` to collect (coordinate, restart, step, mse)
+    training-curve rows, one per step, in coordinate order.
     """
     a = as_matrix(a, "measurement matrix")
     m, n = a.shape
@@ -538,8 +539,10 @@ def build_inverse_recovery_net(
     hidden, outs = [], []
     for j in range(n):
         coord_fit = dataclasses.replace(fit, seed=fit.seed * 1_000_003 + j)
-        curve = None if curves is None else curves.setdefault(j, [])
+        curve = None if curves is None else []
         net_j, _ = fit_regression(train_dirs, train_vals[:, j], coord_fit, curve=curve)
+        if curves is not None:
+            curves.extend((j, *row) for row in curve)
         hidden.append(net_j.layers[0])
         outs.append(net_j.layers[1])
     # The n scalar fits side by side: stacked hidden layers, block-diagonal output.

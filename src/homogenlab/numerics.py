@@ -76,9 +76,7 @@ def numerical_rank(m) -> int:
     """Rank of ``m`` with singular values below ``RANK_TOLERANCE * sigma_max``
     treated as zero."""
     s = singular_values(m)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
+    return int(np.count_nonzero(s > RANK_TOLERANCE * s.max(initial=0.0)))
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:

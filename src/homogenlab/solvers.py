@@ -197,8 +197,7 @@ def _data_term(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     return a, y
 
 
-def objective_value(problem: ProblemSpec, z) -> float:
-    z = as_vector(z, "solution")
+def objective_value(problem: ProblemSpec, z: np.ndarray) -> float:
     resid = problem.a @ z - problem.y
     if problem.variant == "lasso":
         return float(np.linalg.norm(resid))
@@ -296,9 +295,7 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
     u0 = u = np.zeros(k.shape[0])
     kz = k @ z
     ktu = kt @ u
-    z_new, u_new = z, u
-    p_res = d_res = math.inf
-    iters = j = 0
+    j = 0
     for iters in range(1, config.max_iters + 1):
         z_new, u_new, kz_new, ktu_new, dz, du, p_res, d_res = pdhg_step(z, u, kz, ktu)
         if p_res <= p_tol and d_res <= config.tol:

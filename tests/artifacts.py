@@ -60,11 +60,22 @@ COMMANDS = [
     ("homogenize", "homogenize --in g.json --out f.json"),
     ("probe-g", "probe-homogeneity --in g.json --seed 3 --points 200 --out probe-g.csv"),
     ("probe-f", "probe-homogeneity --in f.json --seed 3 --points 200 --out probe-f.csv"),
+    ("probe-f-scales", "probe-homogeneity --in f.json --seed 3 --scales 0.5,2 --out probe-f-scales.csv"),
+    ("convert-activation", "convert-activation --in f.json --alpha 2 --beta 0.5 --out converted.json"),
+    ("pad", "pad --in f.json --depth 4 --out padded.json"),
     ("robustness", "robustness --net f.json --in b.csv --x 1,0,-1,0.5,0,0,0,2,0,0,0,0 "
      "--levels 0.01,0.1,1 --trials 50 --seed 9 --out robustness.csv"),
     ("conditioning", "conditioning --in a.csv --seed 4 --sparsity 2 --pairs 200 --out conditioning.csv"),
     ("lowrank-rip", "lowrank-rip --m 12 --n 4 --rank 1 --samples 200 --seed 5 --out lowrank-rip.csv"),
     ("lower-bound-in", "lower-bound --m 1 --in eye3.csv"),
+    ("lower-bound-identity", "lower-bound --m 2 --identity-n 4"),
+    ("rip-gaussian", "rip --gaussian-m 4 --gaussian-n 6 --seed 552 --order 2 "
+     "--save-matrix rip-gaussian-matrix.csv --out rip-gaussian.csv"),
+    ("uat-negative-n", "uat-negative --n 6"),
+    ("uat-negative-w", "uat-negative --w 0.5,-1,2"),
+    ("uat-negative-w-out", "uat-negative --w 0.5,-1,2 --out uat-negative.csv"),
+    ("counterexample-half", "counterexample --y2 0.5"),
+    ("counterexample-one", "counterexample --y2 1"),
 ]
 
 

@@ -301,6 +301,19 @@ def signed_basis_sampler(n, k):
 
 
 class TestEmpiricalConditioning:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ConditioningReport(-1.0, 1.0, 2, "l2", 1.0), "tau_hat must be non-negative"),
+            (lambda: empirical_conditioning(lambda x: x, lambda rng: rng.standard_normal(4), 10, "l3", seed=1),
+             "unknown norm tag 'l3'"),
+        ],
+        ids=["negative-tau", "norm-tag"],
+    )
+    def test_rejections(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
+
     def test_identity_is_an_isometry(self):
         def sampler(rng):
             return rng.standard_normal(4)

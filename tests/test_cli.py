@@ -178,17 +178,109 @@ def test_lista_depth_zero_checks_measurement_length(tmp_path, capsys):
          "error: argument --y: expected comma-separated numbers, got '1,a'"),
         (["impossibility-experiment", "--m", "2", "--n", "4", "--seed", "1", "--out", "{out}", "--widths", "4,x"],
          "error: argument --widths: expected comma-separated integers, got '4,x'"),
+        (["robustness", "--net", "{net}", "--in", "{a}", "--x", "1,0", "--seed", "1", "--out", "{out}",
+          "--levels", "0.1,,1"],
+         "error: argument --levels: expected comma-separated numbers, got '0.1,,1'"),
+        (["solve", "--variant", "bpdn", "--in", "{a}", "--lam", "0.1", "--y", "1,,0"],
+         "error: argument --y: expected comma-separated numbers, got '1,,0'"),
+        (["impossibility-experiment", "--m", "2", "--n", "4", "--seed", "1", "--out", "{out}", "--widths", "4,"],
+         "error: argument --widths: expected comma-separated integers, got '4,'"),
     ],
-    ids=["floats", "ints"],
+    ids=["floats", "ints", "floats-empty-entry", "floats-empty-middle", "ints-empty-last"],
 )
 def test_unparsable_list_names_the_flag(tmp_path, capsys, argv, message):
-    a_path, out = tmp_path / "a.csv", tmp_path / "out.csv"
+    a_path, net_path, out = tmp_path / "a.csv", tmp_path / "net.json", tmp_path / "out.csv"
     write_matrix_csv(a_path, np.eye(2), "test", {})
-    assert run([arg.format(a=a_path, out=out) for arg in argv]) == 1
+    save_net(net_path, unbiased_relu_net([np.ones((3, 2)), np.ones((1, 3))]))
+    assert run([arg.format(a=a_path, net=net_path, out=out) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == message
     assert not out.exists()
+
+
+# A value each layer rejects by its own rule, and the stderr line naming it;
+# {tmp} stands for the directory of the inputs and outputs.
+REJECTED_ARGUMENTS = [
+    ("lower-bound --m -1 --identity-n 3", "number of measurements must be non-negative"),
+    ("conditioning --in {tmp}/wide.csv --seed 1 --norm-ii nuclear",
+     "nuclear norm needs a square-matrix vector, got length 12"),
+    ("lowrank-rip --m 6 --n 4 --rank 1 --seed 1 --out {tmp}/out.csv --samples 0", "need at least one sample"),
+    ("lowrank-rip --rank 1 --samples 3 --seed 1 --out {tmp}/out.csv", "provide --in or both --m and --n"),
+    ("rip --order 2 --out {tmp}/out.csv", "provide --in or both --gaussian-m and --gaussian-n"),
+    ("rip --gaussian-m 3 --gaussian-n 4 --order 2 --out {tmp}/out.csv",
+     "--seed is required when generating a matrix"),
+    ("rip --in {tmp}/comments.csv --order 1 --out {tmp}/out.csv", "{tmp}/comments.csv: no numeric rows"),
+    ("solve --variant bpdn --in {tmp}/a.csv --lam 0.1 --out {tmp}/out.csv --y 1,nan,0",
+     "measurement contains non-finite entries"),
+    ("brute-force --in {tmp}/a.csv --y 1,0,0 --s 5", "sparsity 5 out of range [0, 4]"),
+    ("ista --in {tmp}/a.csv --y 1,0,0 --lam 0.1 --out {tmp}/out.csv --iters -1",
+     "iteration count must be non-negative"),
+    ("impossibility-experiment --m 2 --n 4 --widths 4 --seed 1 --out {tmp}/out.csv --steps 0",
+     "steps must be at least 1"),
+    ("impossibility-experiment --m 2 --n 4 --widths 4 --seed 1 --out {tmp}/out.csv --restarts 0",
+     "restarts must be at least 1"),
+    ("recovery-experiment --n 6 --m 4 --seed 552 --out {tmp}/out.csv --width 0", "width must be at least 1"),
+    ("pad --in {tmp}/biased.json --depth 3 --out {tmp}/out.csv", "padding requires an unbiased network"),
+    ("pad --in {tmp}/converted.json --depth 3 --out {tmp}/out.csv", "padding requires relu activation"),
+    ("convert-activation --in {tmp}/converted.json --alpha 2 --beta 0.5 --out {tmp}/out.csv",
+     "conversion requires relu activation"),
+    ("probe-homogeneity --in {tmp}/sigmoid.json --seed 1 --out {tmp}/out.csv",
+     "activation: expected key 'relu_family' or 'named'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    REJECTED_ARGUMENTS,
+    ids=[f"{argv.split()[0]}-{k}" for k, (argv, _) in enumerate(REJECTED_ARGUMENTS)],
+)
+def test_rejected_argument_names_the_rule(tmp_path, capsys, argv, message):
+    write_matrix_csv(tmp_path / "a.csv", np.arange(12.0).reshape(3, 4) % 5, "test", {})
+    write_matrix_csv(tmp_path / "wide.csv", np.eye(2, 12), "test", {})
+    (tmp_path / "comments.csv").write_text("# no rows\n\n")
+    biased = NetworkSpec(
+        (LayerSpec(np.ones((3, 2)), np.ones(3)), LayerSpec(np.ones((1, 3)))), ActivationSpec.relu(), unbiased=False
+    )
+    save_net(tmp_path / "biased.json", biased)
+    relu = unbiased_relu_net([np.ones((3, 2)), np.ones((1, 3))])
+    save_net(tmp_path / "converted.json", network.convert_relu_to_activation(relu, 2.0, 0.5))
+    (tmp_path / "sigmoid.json").write_text(
+        '{"activation": {"sigmoid": {}}, "unbiased": true, "layers": [{"weights": [[1.0]]}]}'
+    )
+    assert run(argv.format(tmp=tmp_path).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("lower-bound --m 2", "one of the arguments --identity-n --in is required"),
+        ("lower-bound --m 2 --identity-n 3 --in {tmp}/eye.csv",
+         "argument --in: not allowed with argument --identity-n"),
+        ("uat-negative", "one of the arguments --n --w is required"),
+        ("uat-negative --n 6 --w 0.5,1", "argument --w: not allowed with argument --n"),
+        ("uat-negative --w 0.5,1 --n 6 --out {tmp}/out.csv", "argument --n: not allowed with argument --w"),
+    ],
+    ids=["lower-bound-neither", "lower-bound-both", "uat-negative-neither", "uat-negative-both",
+         "uat-negative-both-reversed"],
+)
+def test_either_or_flags_take_exactly_one(tmp_path, capsys, argv, message):
+    write_matrix_csv(tmp_path / "eye.csv", np.eye(3), "test", {})
+    assert run(argv.format(tmp=tmp_path).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: {message}"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["top", "subcommand"])
+def test_help_exits_zero(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: homogenlab")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

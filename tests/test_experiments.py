@@ -164,13 +164,13 @@ class TestRecoveryExperiment:
 
     def test_curves_collected_per_coordinate(self):
         fit = FitConfig(width=8, learning_rate=0.3, steps=25, restarts=2, seed=552)
-        curves = {}
+        curves = []
         _, _, _, rows = recovery_experiment(
             6, 4, 1, fit, [0.1], trials=1, num_signals=12, densify_points=8, curves=curves
         )
-        assert sorted(curves) == list(range(6))
-        restarts, steps, mses = zip(*curves[0])
-        assert set(restarts) == {0, 1}
+        coords, restarts, steps, mses = zip(*curves)
+        assert sorted(set(coords)) == list(range(6)) and list(coords) == sorted(coords)
+        assert {r for c, r in zip(coords, restarts) if c == 0} == {0, 1}
         assert all(np.isfinite(m) for m in mses)
         zero_rows = [r for r in rows if r[0] == "zero"]
         assert len(zero_rows) == 1 and zero_rows[0][5] == 0.0

@@ -351,6 +351,30 @@ class TestFitter:
         with pytest.raises(ValueError):
             fit_regression(np.zeros((0, 3)), np.zeros((0, 1)), FitConfig(2, 0.1, 10, 1, 0))
 
+    @pytest.mark.parametrize(
+        "fit, message",
+        [
+            (lambda cfg: fit_regression(np.zeros((3, 2)), np.zeros(4), cfg), "4 targets for 3 inputs"),
+            (lambda cfg: fit_regressions(np.zeros((3, 2)), np.zeros(3), [cfg], curves=[[], []]),
+             "2 curves for 1 configs"),
+        ],
+        ids=["targets", "curves"],
+    )
+    def test_mismatched_counts_rejected(self, fit, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit(FitConfig(2, 0.1, 10, 1, 0))
+
+    def test_one_dimensional_inputs_are_scalar_rows(self):
+        # Like the targets and the Lipschitz extension, a 1-D input array is
+        # N scalar rows, not one row of N features.
+        u, t = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 4.0])
+        cfg = FitConfig(4, 0.1, 10, 1, 0)
+        net, mse = fit_regression(u, t, cfg)
+        net_col, mse_col = fit_regression(u[:, None], t, cfg)
+        assert math.isfinite(mse) and mse == mse_col
+        assert np.array_equal(net.layers[0].weights, net_col.layers[0].weights)
+        assert minimal_consistent_lipschitz(u, t) == 3.0
+
     def test_deterministic_given_seed(self, rng):
         u = sample_l1_sphere(rng, 2, 16)
         cfg = FitConfig(width=4, learning_rate=0.2, steps=200, restarts=2, seed=3)

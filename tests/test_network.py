@@ -81,6 +81,20 @@ def mixed_nets(rng):
     return nets
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ActivationSpec("sigmoid"), "unknown activation kind 'sigmoid'"),
+        (lambda: NetworkSpec((), ActivationSpec.relu(), unbiased=True), "a network needs at least one layer"),
+        (lambda: check_positive_homogeneity(lambda x: x, 0, ProbeConfig(seed=1)), "dimension must be at least 1"),
+    ],
+    ids=["activation-kind", "no-layers", "probe-dimension"],
+)
+def test_spec_and_probe_rejections(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestLayerSpec:
     def test_holds_read_only_copies(self, rng):
         big, b = rng.standard_normal((4, 3)), rng.standard_normal(2)

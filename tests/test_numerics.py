@@ -7,6 +7,7 @@ from homogenlab.numerics import (
     as_rows,
     check_measurement,
     check_signal,
+    numerical_rank,
     rank_truncate,
     read_only_copy,
     row_norms,
@@ -163,6 +164,19 @@ class TestLengthChecks:
             check_measurement(a, np.ones(3))
         with pytest.raises(ValueError, match=r"^signal length 2 does not match 3 columns$"):
             check_signal(a, np.ones(2))
+
+    def test_measurement_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match=r"^measurement must be one-dimensional, got shape \(2, 2\)$"):
+            check_measurement(np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "m, rank",
+    [(np.zeros((2, 3)), 0), (np.zeros((0, 3)), 0), (np.diag([1.0, 1e-13]), 1), (np.eye(3), 3)],
+    ids=["zero", "empty", "below-tolerance", "identity"],
+)
+def test_numerical_rank(m, rank):
+    assert numerical_rank(m) == rank
 
 
 class TestSphereNoise:

@@ -43,6 +43,10 @@ def quality_set():
 
 
 class TestProblemSpec:
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="^unknown variant 'basis-pursuit'"):
+            solvers.ProblemSpec("basis-pursuit", np.eye(2), np.ones(2), 0.1)
+
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
             qcbp(np.eye(2), np.ones(2), -0.5)
