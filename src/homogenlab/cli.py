@@ -81,6 +81,8 @@ def _save_net(path, net: network.NetworkSpec) -> None:
 
 def _matrix_from_args(args):
     if args.infile:
+        if args.gaussian_m is not None or args.gaussian_n is not None:
+            raise ValueError("--in excludes --gaussian-m and --gaussian-n")
         return read_matrix_csv(args.infile)
     if args.gaussian_m is None or args.gaussian_n is None:
         raise ValueError("provide --in or both --gaussian-m and --gaussian-n")
@@ -118,21 +120,25 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("homogenize", help="lift a one-hidden-layer net to a scale-invariant two-hidden-layer net")
+    p.set_defaults(handler=_cmd_homogenize)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("convert-activation", help="rewrite a bias-free relu net over alpha relu(x) + beta relu(-x)")
+    p.set_defaults(handler=_cmd_convert)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("pad", help="deepen a bias-free relu net with identity gadget layers")
+    p.set_defaults(handler=_cmd_pad)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("probe-homogeneity", help="measure the worst scaling defect of a network file")
+    p.set_defaults(handler=_cmd_probe)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--points", type=int, default=network.ProbeConfig.num_points)
@@ -141,18 +147,21 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("lower-bound", help="one-hidden-layer reconstruction error floor for a direction set")
+    p.set_defaults(handler=_cmd_lower_bound)
     p.add_argument("--m", type=int, required=True)
     either = p.add_mutually_exclusive_group(required=True)
     either.add_argument("--identity-n", type=int)
     either.add_argument("--in", dest="infile", help="CSV matrix whose columns are unit directions")
 
     p = sub.add_parser("uat-negative", help="hard-instance bound or matrix for one-hidden-layer approximation")
+    p.set_defaults(handler=_cmd_uat_negative)
     either = p.add_mutually_exclusive_group(required=True)
     either.add_argument("--n", type=int)
     either.add_argument("--w", type=_floats, help="pairwise distinct slopes for the 2 x n matrix")
     p.add_argument("--out")
 
     p = sub.add_parser("rip", help="exhaustive restricted-isometry constants")
+    p.set_defaults(handler=_cmd_rip)
     p.add_argument("--in", dest="infile")
     p.add_argument("--gaussian-m", type=int)
     p.add_argument("--gaussian-n", type=int)
@@ -163,6 +172,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("conditioning", help="sampled expansion/contraction estimates of x -> A x on sparse signals")
+    p.set_defaults(handler=_cmd_conditioning)
     p.add_argument("--in", dest="infile")
     p.add_argument("--gaussian-m", type=int)
     p.add_argument("--gaussian-n", type=int)
@@ -173,6 +183,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("lowrank-rip", help="sampled isometry interval of the quadratic measurement map")
+    p.set_defaults(handler=_cmd_lowrank_rip)
     p.add_argument("--in", dest="infile")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
@@ -182,6 +193,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("solve", help="run one of the four l1 recovery programs")
+    p.set_defaults(handler=_cmd_solve)
     p.add_argument("--variant", choices=solvers.VARIANTS, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--y", type=_floats, required=True)
@@ -193,6 +205,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("ista", help="shrinkage-thresholding trajectory")
+    p.set_defaults(handler=_cmd_ista)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--y", type=_floats, required=True)
     p.add_argument("--lam", type=float, required=True)
@@ -201,6 +214,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("lista", help="evaluate the unrolled shrinkage network")
+    p.set_defaults(handler=_cmd_lista)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--y", type=_floats, required=True)
     p.add_argument("--lam", type=float, required=True)
@@ -209,12 +223,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("brute-force", help="exhaustive sparse least squares")
+    p.set_defaults(handler=_cmd_brute_force)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--y", type=_floats, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--cap", type=int, default=bounds.DEFAULT_SUPPORT_CAP)
 
     p = sub.add_parser("robustness", help="perturbation-gain scan of a network file")
+    p.set_defaults(handler=_cmd_robustness)
     p.add_argument("--net", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--x", type=_floats, required=True)
@@ -224,9 +240,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("counterexample", help="exact minimizer of the scalar selection problem")
+    p.set_defaults(handler=_cmd_counterexample)
     p.add_argument("--y2", type=float, required=True)
 
     p = sub.add_parser("impossibility-experiment", help="trained one-hidden-layer nets against the error floor")
+    p.set_defaults(handler=_cmd_impossibility)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--widths", type=_ints, required=True)
@@ -235,6 +253,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("recovery-experiment", help="two-hidden-layer recovery net error table")
+    p.set_defaults(handler=_cmd_recovery)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
@@ -252,8 +271,8 @@ def build_parser() -> _Parser:
 
 
 #: Not part of an artifact's configuration line: the subcommand, which the
-#: line names first, and the output paths.
-_UNRECORDED = ("command", "out", "save_matrix", "save_net", "save_curves")
+#: line names first, its handler, and the output paths.
+_UNRECORDED = ("command", "handler", "out", "save_matrix", "save_net", "save_curves")
 
 
 def _config(args, **resolved) -> dict:
@@ -269,7 +288,7 @@ def _config(args, **resolved) -> dict:
 
 
 def _print_or_write(args, config, header, rows):
-    if getattr(args, "out", None):
+    if args.out:
         write_csv(args.out, args.command, config, header, rows)
     else:
         sys.stdout.write(render_csv(args.command, config, header, rows))
@@ -277,18 +296,15 @@ def _print_or_write(args, config, header, rows):
 
 def _cmd_homogenize(args):
     _save_net(args.out, homogenize.homogenize_one_layer(_load_net(args.infile)))
-    return 0
 
 
 def _cmd_convert(args):
     net = network.convert_relu_to_activation(_load_net(args.infile), args.alpha, args.beta)
     _save_net(args.out, net)
-    return 0
 
 
 def _cmd_pad(args):
     _save_net(args.out, network.pad_identity_layers(_load_net(args.infile), args.depth))
-    return 0
 
 
 def _cmd_probe(args):
@@ -296,7 +312,7 @@ def _cmd_probe(args):
     probe = network.ProbeConfig(
         seed=args.seed,
         num_points=args.points,
-        scales=tuple(args.scales),
+        scales=args.scales,
         tolerance=args.tolerance,
     )
     report = network.check_positive_homogeneity(net, net.input_dim, probe)
@@ -307,7 +323,6 @@ def _cmd_probe(args):
         f"max_defect={format_cell(report.max_defect)} worst_scale={format_cell(report.worst_scale)} "
         f"samples={report.samples} passed={str(report.passed).lower()}"
     )
-    return 0
 
 
 def _cmd_lower_bound(args):
@@ -316,20 +331,18 @@ def _cmd_lower_bound(args):
     else:
         directions = bounds.DirectionSet(read_matrix_csv(args.infile))
     print(f"{bounds.one_layer_lower_bound(args.m, directions):.8f}")
-    return 0
 
 
 def _cmd_uat_negative(args):
     if args.n is not None:
         print(f"{bounds.uat_negative_bound(args.n):.8f}")
-        return 0
-    matrix = bounds.uat_negative_matrix(np.array(args.w))
+        return
+    matrix = bounds.uat_negative_matrix(args.w)
     if args.out:
         write_matrix_csv(args.out, matrix, args.command, {"w": args.w})
     else:
         for row in matrix:
             print(format_row(row))
-    return 0
 
 
 def _cmd_rip(args):
@@ -345,7 +358,6 @@ def _cmd_rip(args):
         f"delta={format_cell(report.delta)} delta_lb={format_cell(report.delta_lb)} "
         f"delta_ub={format_cell(report.delta_ub)} supports={report.supports_checked}"
     )
-    return 0
 
 
 def _cmd_conditioning(args):
@@ -362,11 +374,12 @@ def _cmd_conditioning(args):
         f"tau_hat={format_cell(report.tau_hat)} rho_hat={format_cell(report.rho_hat)} "
         f"pairs={report.pairs_sampled} norm_equiv_M={format_cell(report.norm_equiv_M)}"
     )
-    return 0
 
 
 def _cmd_lowrank_rip(args):
     if args.infile:
+        if args.m is not None or args.n is not None:
+            raise ValueError("--in excludes --m and --n")
         a = read_matrix_csv(args.infile)
     else:
         if args.m is None or args.n is None:
@@ -377,7 +390,6 @@ def _cmd_lowrank_rip(args):
     if args.out:
         write_csv(args.out, args.command, _config(args), ("delta_lb_hat", "delta_ub_hat"), [(lb, ub)])
     print(f"delta_lb_hat={format_cell(lb)} delta_ub_hat={format_cell(ub)}")
-    return 0
 
 
 def _cmd_solve(args):
@@ -389,7 +401,7 @@ def _cmd_solve(args):
     if parameter is None:
         raise ValueError(f"{args.variant} needs --{flag}")
     a = read_matrix_csv(args.infile)
-    problem = getattr(solvers, args.variant)(a, np.array(args.y), parameter)
+    problem = getattr(solvers, args.variant)(a, args.y, parameter)
     report = solvers.solve(problem, solvers.SolveConfig(max_iters=args.max_iters, tol=args.tol))
     fields = ("objective", "primal_residual", "dual_residual", "iterations", "converged", "uniqueness")
     header = fields + tuple(f"z{i}" for i in range(report.solution.size))
@@ -413,16 +425,14 @@ def _step_bound(args, a) -> float:
 
 def _cmd_ista(args):
     a = read_matrix_csv(args.infile)
-    y = np.array(args.y)
     step_bound = _step_bound(args, a)
-    trajectory = solvers.ista_run(a, y, args.lam, step_bound, args.iters)
+    trajectory = solvers.ista_run(a, args.y, args.lam, step_bound, args.iters)
     header = ("step", "objective") + tuple(f"z{i}" for i in range(trajectory.shape[1]))
     rows = [
-        (k, solvers.ista_objective(a, y, args.lam, trajectory[k])) + tuple(trajectory[k])
+        (k, solvers.ista_objective(a, args.y, args.lam, trajectory[k])) + tuple(trajectory[k])
         for k in range(trajectory.shape[0])
     ]
     _print_or_write(args, _config(args, step_bound=step_bound), header, rows)
-    return 0
 
 
 def _cmd_lista(args):
@@ -432,25 +442,22 @@ def _cmd_lista(args):
     final = solvers.lista_eval(net, args.y)
     header = tuple(f"z{i}" for i in range(final.size))
     _print_or_write(args, _config(args, step_bound=step_bound), header, [tuple(final)])
-    return 0
 
 
 def _cmd_brute_force(args):
     a = read_matrix_csv(args.infile)
-    support, coeffs, residual = solvers.brute_force_sparse_fit(a, np.array(args.y), args.s, args.cap)
+    support, coeffs, residual = solvers.brute_force_sparse_fit(a, args.y, args.s, args.cap)
     print(
         f"support={format_row(support)} coefficients={format_row(coeffs)} "
         f"residual={format_cell(residual)}"
     )
-    return 0
 
 
 def _cmd_robustness(args):
     net = _load_net(args.net)
     a = read_matrix_csv(args.infile)
-    rows = solvers.robustness_scan(net, a, np.array(args.x), args.levels, args.trials, args.seed)
+    rows = solvers.robustness_scan(net, a, args.x, args.levels, args.trials, args.seed)
     _print_or_write(args, _config(args), ("noise_level", "trial", "ratio"), rows)
-    return 0
 
 
 def _cmd_counterexample(args):
@@ -459,14 +466,12 @@ def _cmd_counterexample(args):
         print(f"z1 = {format_cell(z1)} (minimizer not unique)")
     else:
         print(f"z1 = {format_cell(z1)}")
-    return 0
 
 
 def _cmd_impossibility(args):
     fit = _fit_config(args, width=1)
     a, rows = experiments.impossibility_experiment(args.m, args.n, args.widths, fit)
     write_csv(args.out, args.command, _config(args), experiments.IMPOSSIBILITY_HEADER, rows)
-    return 0
 
 
 def _cmd_recovery(args):
@@ -489,35 +494,13 @@ def _cmd_recovery(args):
     if args.save_curves:
         write_csv(args.save_curves, args.command, config, ("coordinate", "restart", "step", "mse"), curves)
     write_csv(args.out, args.command, config, experiments.RECOVERY_HEADER, rows)
-    return 0
-
-
-_HANDLERS = {
-    "homogenize": _cmd_homogenize,
-    "convert-activation": _cmd_convert,
-    "pad": _cmd_pad,
-    "probe-homogeneity": _cmd_probe,
-    "lower-bound": _cmd_lower_bound,
-    "uat-negative": _cmd_uat_negative,
-    "rip": _cmd_rip,
-    "conditioning": _cmd_conditioning,
-    "lowrank-rip": _cmd_lowrank_rip,
-    "solve": _cmd_solve,
-    "ista": _cmd_ista,
-    "lista": _cmd_lista,
-    "brute-force": _cmd_brute_force,
-    "robustness": _cmd_robustness,
-    "counterexample": _cmd_counterexample,
-    "impossibility-experiment": _cmd_impossibility,
-    "recovery-experiment": _cmd_recovery,
-}
 
 
 def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_negative_values(argv))
-        return _HANDLERS[args.command](args)
+        return args.handler(args) or 0
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -374,6 +374,11 @@ def _expect(cond: bool, where: str, what: str):
         raise ValueError(f"{where}: {what}")
 
 
+def _expect_keys(obj: dict, allowed: tuple[str, ...], where: str):
+    for key in obj:
+        _expect(key in allowed, where, f"unexpected key {key!r}")
+
+
 def _located(where: str, build, *args):
     try:
         return build(*args)
@@ -407,6 +412,7 @@ def deserialize(text: str) -> NetworkSpec:
     except json.JSONDecodeError as exc:
         raise ValueError(f"document: invalid JSON ({exc})") from exc
     _expect(isinstance(doc, dict), "document", "expected a JSON object")
+    _expect_keys(doc, ("activation", "unbiased", "layers"), "document")
 
     act = doc.get("activation")
     _expect(isinstance(act, dict) and len(act) == 1, "activation", "expected one-key object")
@@ -434,6 +440,7 @@ def deserialize(text: str) -> NetworkSpec:
     for i, entry in enumerate(raw_layers):
         where = f"layers[{i}]"
         _expect(isinstance(entry, dict), where, "expected an object")
+        _expect_keys(entry, ("weights", "bias"), where)
         weights = entry.get("weights")
         _expect(isinstance(weights, list) and weights, f"{where}.weights", "expected a non-empty array of rows")
         for j, row in enumerate(weights):

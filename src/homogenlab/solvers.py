@@ -101,8 +101,6 @@ class ProblemSpec:
                 raise ValueError(
                     f"qcbp is infeasible: y lies {gap:.6g} from the range of A, eta is {t:.6g}"
                 )
-        if self.variant == "dantzig" and numerical_rank(a) != a.shape[0]:
-            raise ValueError("dantzig requires a matrix of full row rank")
 
 
 def qcbp(a, y, eta: float) -> ProblemSpec:

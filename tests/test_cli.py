@@ -227,6 +227,13 @@ REJECTED_ARGUMENTS = [
      "conversion requires relu activation"),
     ("probe-homogeneity --in {tmp}/sigmoid.json --seed 1 --out {tmp}/out.csv",
      "activation: expected key 'relu_family' or 'named'"),
+    ("probe-homogeneity --in {tmp}/misspelt.json --seed 1 --out {tmp}/out.csv", "layers[0]: unexpected key 'biass'"),
+    ("rip --in {tmp}/a.csv --gaussian-m 4 --gaussian-n 6 --order 2 --out {tmp}/out.csv",
+     "--in excludes --gaussian-m and --gaussian-n"),
+    ("conditioning --in {tmp}/a.csv --gaussian-m 4 --seed 1 --out {tmp}/out.csv",
+     "--in excludes --gaussian-m and --gaussian-n"),
+    ("lowrank-rip --in {tmp}/a.csv --m 3 --n 9 --rank 1 --samples 3 --seed 1 --out {tmp}/out.csv",
+     "--in excludes --m and --n"),
 ]
 
 
@@ -247,6 +254,9 @@ def test_rejected_argument_names_the_rule(tmp_path, capsys, argv, message):
     save_net(tmp_path / "converted.json", network.convert_relu_to_activation(relu, 2.0, 0.5))
     (tmp_path / "sigmoid.json").write_text(
         '{"activation": {"sigmoid": {}}, "unbiased": true, "layers": [{"weights": [[1.0]]}]}'
+    )
+    (tmp_path / "misspelt.json").write_text(
+        '{"activation": {"named": "tanh"}, "unbiased": false, "layers": [{"weights": [[1.0, 2.0]], "biass": [0.5]}]}'
     )
     assert run(argv.format(tmp=tmp_path).split()) == 1
     captured = capsys.readouterr()

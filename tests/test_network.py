@@ -495,6 +495,18 @@ class TestSerialization:
             with pytest.raises(ValueError, match=r"^layers\[0\]\.weights\[0\]\[1\]: "):
                 deserialize(doc)
 
+    def test_unknown_keys_rejected_with_location(self):
+        doc = """{"activation": {"named": "tanh"}, "unbiased": true, "layer": [],
+                  "layers": [{"weights": [[1.0]]}]}"""
+        with pytest.raises(ValueError, match=r"^document: unexpected key 'layer'$"):
+            deserialize(doc)
+        doc = """{"activation": {"named": "tanh"}, "unbiased": false,
+                  "layers": [{"weights": [[1.0, 2.0]], "biass": [0.5]}]}"""
+        with pytest.raises(ValueError, match=r"^layers\[0\]: unexpected key 'biass'$"):
+            deserialize(doc)
+        doc = """{"activation": {"named": "tanh"}, "unbiased": true, "layers": [{"weights": [[1.0, 2.0]]}]}"""
+        assert deserialize(doc).layers[0].bias is None
+
     def test_ragged_weights_rejected(self):
         doc = """{"activation": {"named": "tanh"}, "unbiased": true,
                   "layers": [{"weights": [[1.0, 2.0], [1.0]], "bias": null}]}"""

@@ -55,10 +55,23 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             bpdn(np.eye(2), np.ones(2), 0.0)
 
-    def test_dantzig_requires_full_row_rank(self):
+    def test_dantzig_takes_any_matrix(self):
+        # A^T (A z - y) = (14 z1 - 6, 0): the smallest |z1| with
+        # |14 z1 - 6| <= 0.1 is 5.9 / 14, and z2 is free, so 0.
         rank_deficient = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        with pytest.raises(ValueError, match="rank"):
-            dantzig(rank_deficient, np.ones(3), 0.1)
+        problem = dantzig(rank_deficient, np.ones(3), 0.1)
+        report = solve(problem)
+        assert report.converged
+        assert np.allclose(report.solution, [5.9 / 14, 0.0], atol=1e-8)
+        assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
+
+    def test_dantzig_takes_a_tall_matrix(self):
+        # A least-squares solution has A^T (A z - y) = 0, so every A is feasible.
+        rng = np.random.default_rng([8, 5])
+        problem = dantzig(gaussian_matrix(rng, 8, 5), rng.standard_normal(8), 0.05)
+        report = solve(problem)
+        assert report.converged
+        assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
 
     def test_measurement_length_checked(self):
         with pytest.raises(ValueError):
