@@ -181,24 +181,17 @@ def rip_exhaustive(a, t: int, cap: int = DEFAULT_SUPPORT_CAP) -> RipReport:
     )
 
 
-def _norm_ii(diff: np.ndarray, tag: str) -> np.ndarray:
-    """The second norm of every row of ``diff``."""
+def _norm_ii(diff: np.ndarray, tag: str) -> tuple[np.ndarray, float]:
+    """The second norm of every row of ``diff`` and the constant M with
+    ||.||_II <= M ||.||_2 on rows of that length."""
     if tag == "l1":
-        return np.abs(diff).sum(axis=1)
+        return np.abs(diff).sum(axis=1), math.sqrt(diff.shape[1])
     if tag == "l2":
-        return row_norms(diff)
+        return row_norms(diff), 1.0
     side = math.isqrt(diff.shape[1])
     if side * side != diff.shape[1]:
         raise ValueError(f"nuclear norm needs a square-matrix vector, got length {diff.shape[1]}")
-    return np.linalg.svd(diff.reshape(-1, side, side), compute_uv=False).sum(axis=1)
-
-
-def _norm_equiv_constant(dim: int, tag: str) -> float:
-    if tag == "l1":
-        return math.sqrt(dim)
-    if tag == "l2":
-        return 1.0
-    return math.sqrt(math.isqrt(dim))
+    return np.linalg.svd(diff.reshape(-1, side, side), compute_uv=False).sum(axis=1), math.sqrt(side)
 
 
 def empirical_conditioning(
@@ -235,19 +228,20 @@ def empirical_conditioning(
     if not used:
         raise ValueError("all sampled pairs were degenerate")
     ambient = rng.standard_normal((num_pairs, 2, dim))
-    ambient = ambient[_norm_ii(ambient[:, 0] - ambient[:, 1], norm_ii_tag) != 0.0]
+    ambient = ambient[_norm_ii(ambient[:, 0] - ambient[:, 1], norm_ii_tag)[0] != 0.0]
     pairs = np.concatenate([pairs, ambient])
     diff = pairs[:, 0] - pairs[:, 1]
+    norms_ii, norm_equiv = _norm_ii(diff, norm_ii_tag)
     images = map_rows(forward, pairs.reshape(-1, dim)).reshape(len(pairs), 2, -1)
     gaps = row_norms(images[:, 0] - images[:, 1])
     if np.isnan(gaps).any():
         raise ValueError("forward map returned NaN")
     return ConditioningReport(
         tau_hat=float(np.min(gaps[:used] / row_norms(diff[:used]))),
-        rho_hat=float(np.max(gaps / _norm_ii(diff, norm_ii_tag))),
+        rho_hat=float(np.max(gaps / norms_ii)),
         pairs_sampled=used,
         norm_ii_tag=norm_ii_tag,
-        norm_equiv_M=_norm_equiv_constant(dim, norm_ii_tag),
+        norm_equiv_M=norm_equiv,
     )
 
 

@@ -79,16 +79,20 @@ def _save_net(path, net: network.NetworkSpec) -> None:
         fh.write(network.serialize(net))
 
 
-def _matrix_from_args(args):
+def _matrix_from_args(args, m="gaussian_m", n="gaussian_n", generate=gaussian_matrix):
+    """The ``--in`` matrix, or ``generate(default_rng([seed, 0]), m, n)``
+    from the flags named ``m`` and ``n``; the two sources exclude each other."""
+    rows, cols = getattr(args, m), getattr(args, n)
+    flags = f"--{m} and --{n}".replace("_", "-")
     if args.infile:
-        if args.gaussian_m is not None or args.gaussian_n is not None:
-            raise ValueError("--in excludes --gaussian-m and --gaussian-n")
+        if rows is not None or cols is not None:
+            raise ValueError(f"--in excludes {flags}")
         return read_matrix_csv(args.infile)
-    if args.gaussian_m is None or args.gaussian_n is None:
-        raise ValueError("provide --in or both --gaussian-m and --gaussian-n")
+    if rows is None or cols is None:
+        raise ValueError(f"provide --in or both {flags}")
     if args.seed is None:
         raise ValueError("--seed is required when generating a matrix")
-    return gaussian_matrix(np.random.default_rng([args.seed, 0]), args.gaussian_m, args.gaussian_n)
+    return generate(np.random.default_rng([args.seed, 0]), rows, cols)
 
 
 def _fit_config(args, width=None, optimizer="gd") -> homogenize.FitConfig:
@@ -346,6 +350,8 @@ def _cmd_uat_negative(args):
 
 
 def _cmd_rip(args):
+    if args.infile and args.seed is not None:
+        raise ValueError("--in excludes --seed")
     a = _matrix_from_args(args)
     report = bounds.rip_exhaustive(a, args.order, args.cap)
     config = _config(args)
@@ -377,15 +383,8 @@ def _cmd_conditioning(args):
 
 
 def _cmd_lowrank_rip(args):
-    if args.infile:
-        if args.m is not None or args.n is not None:
-            raise ValueError("--in excludes --m and --n")
-        a = read_matrix_csv(args.infile)
-    else:
-        if args.m is None or args.n is None:
-            raise ValueError("provide --in or both --m and --n")
-        # unit-variance entries; the 1/m normalization lives in the sampled map
-        a = np.random.default_rng([args.seed, 0]).standard_normal((args.m, args.n))
+    # unit-variance entries; the 1/m normalization lives in the sampled map
+    a = _matrix_from_args(args, "m", "n", lambda rng, m, n: rng.standard_normal((m, n)))
     lb, ub = bounds.lowrank_rip_sample(a, args.rank, args.samples, args.seed)
     if args.out:
         write_csv(args.out, args.command, _config(args), ("delta_lb_hat", "delta_ub_hat"), [(lb, ub)])

@@ -55,9 +55,13 @@ def _config_value(value) -> str:
 def config_line(command: str, config: dict) -> str:
     """``# command=... key=value ...``; ``shlex.split`` reads each pair back
     as one token, because values holding whitespace, quotes or backslashes
-    are shell-quoted (all others stay bare)."""
+    are shell-quoted (all others stay bare). A value holding a line break
+    has no one-line form and raises ``ValueError``."""
     parts = [f"command={_config_value(command)}"]
     parts += [f"{k}={_config_value(v)}" for k, v in config.items()]
+    for part in parts:
+        if "\n" in part or "\r" in part:
+            raise ValueError(f"cannot record {part!r} on one line: the value holds a line break")
     return "# " + " ".join(parts)
 
 
@@ -68,8 +72,9 @@ def render_csv(command: str, config: dict, header: Sequence[str], rows: Iterable
 
 
 def write_csv(path, command: str, config: dict, header: Sequence[str], rows) -> None:
+    text = render_csv(command, config, header, rows)  # a rejected value leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv(command, config, header, rows))
+        fh.write(text)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -253,16 +258,17 @@ def recovery_experiment(
         exact = np.array([sampler(rng_cases) for _ in range(2 * n)])
     net = build_inverse_recovery_net(a, signals, fit, densify_points=densify_points, curves=curves)
 
-    rows = [("zero", 0, 0.0, 0.0, 0.0, float(np.linalg.norm(evaluate(net, np.zeros(m)))))]
     # Row i of the approx and noisy blocks perturbs exact case i mod 2n.
     rng = np.random.default_rng([fit.seed, 8])
     approx = exact[np.arange(trials) % len(exact)] + 0.1 * rng.standard_normal((trials, n))
     noisy = exact[np.arange(len(norm_e)) % len(exact)]
     blocks = (
+        ("zero", np.zeros((1, n)), np.zeros((1, m)), np.zeros(1)),
         ("exact", exact, exact @ a.T, np.zeros(len(exact))),
         ("approx", approx, approx @ a.T, np.zeros(trials)),
         ("noisy", noisy, noisy @ a.T + e, norm_e),
     )
+    rows = []
     for case, x, y, level in blocks:
         cols = (row_norms(x), sparse_tail_l1(x, s), level, _errors(net, y, x))
         rows += [(case, idx, *map(float, row)) for idx, row in enumerate(zip(*cols))]

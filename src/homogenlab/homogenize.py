@@ -371,8 +371,8 @@ def _fit_stack(u, t, weight, denom, config: FitConfig, members, unbiased, record
         for g_d_hid_t, g_w1, g_d_hid, g_b1, g_d_out, g_b2 in last:
             np.matmul(g_d_hid_t, u, out=g_w1)
             if g_b1 is not None:
-                np.sum(g_d_hid, axis=-2, out=g_b1)
-                np.sum(g_d_out, axis=-2, out=g_b2)
+                np.add.reduce(g_d_hid, axis=-2, out=g_b1)
+                np.add.reduce(g_d_out, axis=-2, out=g_b2)
         if adam:
             _adam_step(theta, grad, moment1, moment2, scratch, config.learning_rate, step + 1)
         else:

@@ -339,13 +339,7 @@ def sigma_gamma_probe(activation: ActivationSpec, gamma, probe: ProbeConfig) -> 
     g = as_vector(gamma, "gamma")
     if g.size == 0:
         raise ValueError("gamma must contain at least one coefficient")
-
-    def chain(x):
-        t = activation.apply(x)
-        for c in g[:-1]:
-            t = activation.apply(c * t)
-        return g[-1] * t
-
+    chain = NetworkSpec(tuple(LayerSpec([[c]]) for c in (1.0, *g)), activation, unbiased=True)
     return check_positive_homogeneity(chain, 1, probe)
 
 

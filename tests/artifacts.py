@@ -66,7 +66,12 @@ COMMANDS = [
     ("robustness", "robustness --net f.json --in b.csv --x 1,0,-1,0.5,0,0,0,2,0,0,0,0 "
      "--levels 0.01,0.1,1 --trials 50 --seed 9 --out robustness.csv"),
     ("conditioning", "conditioning --in a.csv --seed 4 --sparsity 2 --pairs 200 --out conditioning.csv"),
+    ("conditioning-l2", "conditioning --in a.csv --seed 4 --sparsity 2 --pairs 200 --norm-ii l2 "
+     "--out conditioning-l2.csv"),
+    ("conditioning-nuclear", "conditioning --gaussian-m 4 --gaussian-n 9 --seed 3 --sparsity 2 --pairs 200 "
+     "--norm-ii nuclear --out conditioning-nuclear.csv"),
     ("lowrank-rip", "lowrank-rip --m 12 --n 4 --rank 1 --samples 200 --seed 5 --out lowrank-rip.csv"),
+    ("lowrank-rip-in", "lowrank-rip --in a.csv --rank 1 --samples 200 --seed 5 --out lowrank-rip-in.csv"),
     ("lower-bound-in", "lower-bound --m 1 --in eye3.csv"),
     ("lower-bound-identity", "lower-bound --m 2 --identity-n 4"),
     ("rip-gaussian", "rip --gaussian-m 4 --gaussian-n 6 --seed 552 --order 2 "

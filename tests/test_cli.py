@@ -200,7 +200,8 @@ def test_unparsable_list_names_the_flag(tmp_path, capsys, argv, message):
 
 
 # A value each layer rejects by its own rule, and the stderr line naming it;
-# {tmp} stands for the directory of the inputs and outputs.
+# {tmp} stands for the directory of the inputs and outputs, {nl} for a line
+# break inside one argument.
 REJECTED_ARGUMENTS = [
     ("lower-bound --m -1 --identity-n 3", "number of measurements must be non-negative"),
     ("conditioning --in {tmp}/wide.csv --seed 1 --norm-ii nuclear",
@@ -234,6 +235,9 @@ REJECTED_ARGUMENTS = [
      "--in excludes --gaussian-m and --gaussian-n"),
     ("lowrank-rip --in {tmp}/a.csv --m 3 --n 9 --rank 1 --samples 3 --seed 1 --out {tmp}/out.csv",
      "--in excludes --m and --n"),
+    ("rip --in {tmp}/a.csv --seed 3 --order 2 --out {tmp}/out.csv", "--in excludes --seed"),
+    ("solve --variant bpdn --in {tmp}/a{nl}b.csv --y 1,0,0 --lam 0.1 --out {tmp}/out.csv",
+     "cannot record \"in='{tmp}/a\\nb.csv'\" on one line: the value holds a line break"),
 ]
 
 
@@ -244,6 +248,7 @@ REJECTED_ARGUMENTS = [
 )
 def test_rejected_argument_names_the_rule(tmp_path, capsys, argv, message):
     write_matrix_csv(tmp_path / "a.csv", np.arange(12.0).reshape(3, 4) % 5, "test", {})
+    write_matrix_csv(tmp_path / "a\nb.csv", np.arange(12.0).reshape(3, 4) % 5, "test", {})
     write_matrix_csv(tmp_path / "wide.csv", np.eye(2, 12), "test", {})
     (tmp_path / "comments.csv").write_text("# no rows\n\n")
     biased = NetworkSpec(
@@ -258,7 +263,7 @@ def test_rejected_argument_names_the_rule(tmp_path, capsys, argv, message):
     (tmp_path / "misspelt.json").write_text(
         '{"activation": {"named": "tanh"}, "unbiased": false, "layers": [{"weights": [[1.0, 2.0]], "biass": [0.5]}]}'
     )
-    assert run(argv.format(tmp=tmp_path).split()) == 1
+    assert run([arg.format(tmp=tmp_path, nl="\n") for arg in argv.split()]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"

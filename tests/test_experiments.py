@@ -17,6 +17,7 @@ from homogenlab.experiments import (
     render_csv,
     sparse_signal_sampler,
     sparse_tail_l1,
+    write_csv,
 )
 from homogenlab.homogenize import FitConfig, fit_regression
 from homogenlab.network import evaluate, unbiased_relu_net
@@ -49,6 +50,14 @@ class TestHelpers:
             "# command=recovery-experiment noise=0.001;0.01;0.1 lam= in=runs/a.csv seed=3 "
             "eta=0.10000000000000001"
         )
+
+    def test_config_line_rejects_line_break(self, tmp_path):
+        for brk in ("\n", "\r"):
+            with pytest.raises(ValueError, match=r"""^cannot record "in='a\\[nr]b\.csv'" on one line"""):
+                config_line("solve", {"seed": 3, "in": f"a{brk}b.csv"})
+            with pytest.raises(ValueError, match="on one line"):
+                write_csv(tmp_path / "out.csv", "solve", {"in": f"a{brk}b.csv"}, ("a",), [(1,)])
+            assert not (tmp_path / "out.csv").exists()
 
     def test_gaussian_matrix_unit_columns(self, rng):
         a = gaussian_matrix(rng, 4, 7)

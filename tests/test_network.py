@@ -394,6 +394,35 @@ class TestSigmaGammaProbe:
         with pytest.raises(ValueError):
             sigma_gamma_probe(ActivationSpec.relu(), np.array([]), ProbeConfig(seed=3))
 
+    @pytest.mark.parametrize("gains", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [3, 606])
+    @pytest.mark.parametrize(
+        "activation",
+        [
+            ActivationSpec.relu(),
+            ActivationSpec.relu_family(2.0, 0.5),
+            ActivationSpec.relu_family(-1.5, 3.0),
+            ActivationSpec.named("tanh"),
+            ActivationSpec.named("softplus"),
+        ],
+        ids=["relu", "relu_family(2,0.5)", "relu_family(-1.5,3)", "tanh", "softplus"],
+    )
+    def test_matches_the_scalar_chain_bit_for_bit(self, activation, seed, gains):
+        gamma = np.random.default_rng([seed, gains]).standard_normal(gains)
+
+        def chain(x):
+            t = activation.apply(x)
+            for c in gamma[:-1]:
+                t = activation.apply(c * t)
+            return gamma[-1] * t
+
+        probe = ProbeConfig(seed=seed)
+        report = sigma_gamma_probe(activation, gamma, probe)
+        reference = check_positive_homogeneity(chain, 1, probe)
+        assert report.max_defect == reference.max_defect
+        assert np.array_equal(report.worst_point, reference.worst_point)
+        assert report.worst_scale == reference.worst_scale
+
 
 class TestSerialization:
     def test_round_trip_bit_identical(self, rng):
