@@ -437,7 +437,9 @@ def fit_regressions(
         if not chunk:
             break
         members = [(configs[c].width, configs[c].seed, r) for c, r in chunk]
-        stack = _fit_stack(u, t, weight, denom, configs[0], members, unbiased, curves is not None)
+        # A diverging restart overflows; the stop rule handles its non-finite mse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = _fit_stack(u, t, weight, denom, configs[0], members, unbiased, curves is not None)
         for (c, r), (mse, params, trail) in zip(chunk, stack):
             if c in decided:
                 continue

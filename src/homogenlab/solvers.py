@@ -245,9 +245,6 @@ _RESTART_NECESSARY = 0.8
 _RESTART_ARTIFICIAL = 0.36
 # Movement below this leaves the primal weight as it is.
 _MOVEMENT_FLOOR = 1e-10
-# Dual entries within this fraction of the largest are rounding, not active
-# rows, when ``_polish`` reads the dantzig dual.
-_DUAL_ROUNDING = 1e-12
 
 
 def _pdhg(problem: ProblemSpec, config: SolveConfig):
@@ -345,9 +342,10 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
     three programs share z_S = x - m G^-1 s: bpdn with m = lam / 2; lasso
     with m = mu / 2 > 0 putting z on the budget, or m = 0 when the budget
     is inactive, x has the signs s and A has full column rank; qcbp with
-    m > 0 putting A z - y on the eta sphere. Dantzig solves the active rows T
-    of the dual (|T| = |S|) against the rows and columns S of K = A^T A. The
-    caller checks the pair with one PDHG step before trusting it.
+    m > 0 putting A z - y on the eta sphere. Dantzig takes as its active rows
+    T the |S| rows of largest |u| (ties to the lower index), as at a vertex
+    of the LP, and solves them against the rows and columns S of K = A^T A.
+    The caller checks the pair with one PDHG step before trusting it.
     """
     a, y, t = problem.a, problem.y, problem.parameter
     support = np.flatnonzero(z)
@@ -359,9 +357,7 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
     polished = np.zeros_like(z)
     try:
         if problem.variant == "dantzig":
-            active = np.flatnonzero(np.abs(u) > _DUAL_ROUNDING * np.abs(u).max())
-            if active.size != support.size:
-                return None
+            active = np.sort(np.argsort(-np.abs(u), kind="stable")[: support.size])
             k, c = _data_term(problem)
             dual = np.zeros_like(u)
             polished[support] = np.linalg.solve(k[np.ix_(active, support)], c[active] + t * np.sign(u[active]))
@@ -398,19 +394,20 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
 def _uniqueness(problem: ProblemSpec, z: np.ndarray, u: np.ndarray, tol: float) -> str:
     """Classify the minimizer from a converged primal-dual pair.
 
-    Entries above ``sqrt(tol)`` form the support S, and the off-support dual
-    must clear its bound by the same relative margin. If A_S is numerically
-    rank-deficient (``numerical_rank``), a null vector h moves z without
-    changing A z and moves ||z||_1 linearly, so z + t h for small |t| of the
-    right sign is another minimizer of every variant. For qcbp and bpdn,
-    full column rank plus a dual strictly below its bound off S forces every
-    minimizer onto S with the same A z, hence z itself. A lasso with A of
-    full column rank minimizes a strictly convex ||A z - y||^2 over a convex
-    set, so its minimizer is unique whatever the budget.
+    Entries above ``sqrt(tol)`` times the largest form the support S, so the
+    verdict does not depend on the units of y and the parameter, and the
+    off-support dual must clear its bound by the same relative margin. If A_S
+    is numerically rank-deficient (``numerical_rank``), a null vector h moves
+    z without changing A z and moves ||z||_1 linearly, so z + t h for small
+    |t| of the right sign is another minimizer of every variant. For qcbp and
+    bpdn, full column rank plus a dual strictly below its bound off S forces
+    every minimizer onto S with the same A z, hence z itself. A lasso with A
+    of full column rank minimizes a strictly convex ||A z - y||^2 over a
+    convex set, so its minimizer is unique whatever the budget.
     """
     cut = math.sqrt(tol)
     a = problem.a
-    support = np.abs(z) > cut
+    support = np.abs(z) > cut * np.abs(z).max(initial=0.0)
     a_s = a[:, support]
     if a_s.shape[1] and numerical_rank(a_s) < a_s.shape[1]:
         return "not_unique"

@@ -298,13 +298,24 @@ def test_help_exits_zero(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: homogenlab")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_fits_are_flagged_not_dropped(tmp_path):
     out = tmp_path / "imp.csv"
     argv = ["impossibility-experiment", "--m", "2", "--n", "4", "--widths", "4,8", "--seed", "3"]
     assert run(argv + ["--learning-rate", "1e6", "--steps", "50", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     assert [(r[0], r[1], r[3], r[4]) for r in rows] == [("4", "nan", "nan", "0"), ("8", "nan", "nan", "0")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_restart_prints_no_warning(tmp_path, capsys):
+    # At seed 552 a width-128 restart diverges; every width still fits.
+    out = tmp_path / "imp.csv"
+    argv = ["impossibility-experiment", "--m", "2", "--n", "4", "--widths", "4,128", "--seed", "552"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [r[4] for r in rows] == ["1", "1"]
 
 
 def test_lower_bound_without_directions_exits_one(capsys):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import low_coherence_matrix
 from homogenlab import solvers
@@ -28,18 +30,29 @@ from homogenlab.solvers import (
 )
 
 
+def sparse_instance(rng):
+    """A Gaussian 6x8 A, a 2-sparse x and y = A x plus noise of norm 0.01."""
+    a = gaussian_matrix(rng, 6, 8)
+    x = np.zeros(8)
+    x[rng.choice(8, size=2, replace=False)] = rng.standard_normal(2)
+    e = rng.standard_normal(6)
+    return a, x, a @ x + 0.01 * e / np.linalg.norm(e)
+
+
 def quality_set():
-    """10 seeded Gaussian 6x8 instances x 4 variants: 2-sparse signals, noise
-    of norm 0.01, eta cycling through 1e-1, 1e-2, 1e-3, lam 0.05, tau ||x||_1."""
+    """10 seeded ``sparse_instance``s x 4 variants: eta cycling through 1e-1,
+    1e-2, 1e-3, lam 0.05, tau ||x||_1."""
     for seed in range(10):
-        rng = np.random.default_rng([seed, 40])
-        a = gaussian_matrix(rng, 6, 8)
-        x = np.zeros(8)
-        x[rng.choice(8, size=2, replace=False)] = rng.standard_normal(2)
-        e = rng.standard_normal(6)
-        y = a @ x + 0.01 * e / np.linalg.norm(e)
+        a, x, y = sparse_instance(np.random.default_rng([seed, 40]))
         eta = (1e-1, 1e-2, 1e-3)[seed % 3]
         yield from (qcbp(a, y, eta), bpdn(a, y, 0.05), lasso(a, y, np.abs(x).sum()), dantzig(a, y, eta))
+
+
+def scaled_problem(variant, a, x, y, c=1.0):
+    """``variant`` on (A, c y) with eta = lam = 0.05 c or tau = 0.9 c ||x||_1:
+    its minimizers are c times those at c = 1."""
+    parameter = 0.9 * np.abs(x).sum() if variant == "lasso" else 0.05
+    return solvers.ProblemSpec(variant, a, c * y, c * parameter)
 
 
 class TestProblemSpec:
@@ -260,6 +273,44 @@ class TestUniqueness:
             assert report.converged
             assert report.uniqueness == "unique", tau
 
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 59), exponent=st.floats(-3.0, 3.0))
+    def test_units_do_not_change_the_verdict(self, variant, seed, exponent):
+        a, x, y = sparse_instance(np.random.default_rng([seed, 77]))
+        config = SolveConfig(max_iters=20_000)
+        base = solve(scaled_problem(variant, a, x, y), config)
+        scaled = solve(scaled_problem(variant, a, x, y, 10.0**exponent), config)
+        assume(base.converged and scaled.converged)
+        assert scaled.uniqueness == base.uniqueness
+
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 59),
+        order=st.permutations(range(8)),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8),
+    )
+    def test_column_labels_do_not_change_the_verdict(self, variant, seed, order, signs):
+        a, x, y = sparse_instance(np.random.default_rng([seed, 77]))
+        order, signs = np.array(order), np.array(signs)
+        config = SolveConfig(max_iters=20_000)
+        base = solve(scaled_problem(variant, a, x, y), config)
+        relabelled = solve(scaled_problem(variant, a[:, order] * signs, x[order] * signs, y), config)
+        assert base.converged and relabelled.converged
+        assert relabelled.uniqueness == base.uniqueness
+        np.testing.assert_allclose(
+            relabelled.solution, base.solution[order] * signs, rtol=0, atol=1e-9 * np.abs(base.solution).max()
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="PDHG's stop test is absolute: 105 iterations at c = 1, 6,559 at c = 0.01, the cap at c = 1e-3",
+    )
+    def test_small_units_converge(self):
+        a, x, y = sparse_instance(np.random.default_rng([4, 77]))
+        assert solve(scaled_problem("qcbp", a, x, y, 1e-3), SolveConfig(max_iters=20_000)).converged
+
     def test_dual_must_clear_its_bound_off_the_support(self):
         problem = qcbp(np.eye(2), [3.0, 0.0], 1.0)
         z = np.array([2.0, 0.0])
@@ -316,6 +367,19 @@ class TestPolish:
             capped = solve(problem, SolveConfig(max_iters=report.iterations - 1))
             assert capped.iterations == report.iterations - 1, problem.variant
             assert not capped.converged and capped.uniqueness == "undetermined"
+
+    def test_dantzig_active_rows_ignore_rounding_level_duals(self):
+        # A dual entry far below the others still ranks below the |S| active
+        # rows, so the polish does not give up on it.
+        a, _, y = sparse_instance(np.random.default_rng(0))
+        problem = dantzig(a, y, 0.05)
+        report = solve(problem)
+        assert report.converged
+        u = report.dual.copy()
+        u[np.flatnonzero(u == 0)[0]] = 1e-9 * np.abs(u).max()
+        polished = solvers._polish(problem, report.solution, u)
+        assert polished is not None
+        assert not verify_optimality(problem, *polished, 1e-7)
 
     def test_wrong_pair_is_never_returned(self, monkeypatch):
         flipped = []
