@@ -166,24 +166,28 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     cumulative = np.cumsum(drop)
     idx = np.arange(1, v.size + 1)
     positive = drop - (cumulative - radius) / idx > 0
-    k = int(np.max(np.nonzero(positive)[0])) + 1
+    positive[0] = True  # its margin is radius > 0, which rounding loses when radius << max|v|
+    k = positive.nonzero()[0][-1] + 1
     theta = (cumulative[k - 1] - radius) / k
     return _soft_threshold(v, theta)
 
 
 def _project_l2_ball(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the closed l2 ball (``radius >= 0``)."""
+    """Euclidean projection onto the closed l2 ball (``radius >= 0``); a
+    point inside the ball is returned itself, not a copy."""
     d = u - center
-    nd = math.sqrt(d @ d)
+    nd = math.sqrt(d.dot(d))
     if nd <= radius:
-        return u.copy()
+        return u
     return center + d * (radius / nd)
 
 
 def _project_linf_ball(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the closed l-infinity ball (``radius >= 0``):
-    a componentwise clamp."""
-    return center + np.clip(u - center, -radius, radius)
+    a componentwise clamp. The ``clip`` method runs the ufunc that ``np.clip``
+    wraps, so the bits (signed zeros included) are the same, without the
+    wrapper's cost."""
+    return center + (u - center).clip(-radius, radius)
 
 
 def _data_term(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -266,36 +270,47 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
     """
     k, prox_primal, prox_dual = _variant_operators(problem)
     step = 0.95 / max(spectral_norm(k), 1e-30)
-    p_tol = config.tol * min(1.0, problem.parameter) if problem.variant == "bpdn" else config.tol
-    kt = k.T
+    tol, max_iters, sqrt = config.tol, config.max_iters, math.sqrt
+    p_tol = tol * min(1.0, problem.parameter) if problem.variant == "bpdn" else tol
+    # On 6x8 operands numpy's dispatch costs more than the arithmetic: the
+    # bound ``dot`` methods give the bits of ``@`` at a third of its cost
+    # (k.dot(z) 0.48 us against 1.63 us, r.dot(r) 0.53 us against 1.18 us).
+    kdot, ktdot = k.dot, k.T.dot
     omega = 1.0
     tau = sigma = step
 
     def pdhg_step(z, u, kz, ktu):
-        """T(z, u), its movement and the residuals of the pair it returns."""
+        """T(z, u), its movement, and the primal residual of the pair it
+        returns; ``dual_residual(du, dkz)`` gives the dual one on demand."""
         z_new = prox_primal(z - tau * ktu, tau)
-        kz_new = k @ z_new
+        kz_new = kdot(z_new)
         dz = z - z_new
         dkz = kz - kz_new
         u_new = prox_dual(u + sigma * (kz_new - dkz), sigma)
-        ktu_new = kt @ u_new
+        ktu_new = ktdot(u_new)
         du = u - u_new
         r = dz / tau - (ktu - ktu_new)
-        p_res = math.sqrt(r @ r)
+        return z_new, u_new, kz_new, ktu_new, dz, du, dkz, sqrt(r.dot(r))
+
+    def dual_residual(du, dkz):
         r = du / sigma - dkz
-        d_res = math.sqrt(r @ r)
-        return z_new, u_new, kz_new, ktu_new, dz, du, p_res, d_res
+        return sqrt(r.dot(r))
 
     z0 = z = np.zeros(k.shape[1])
     u0 = u = np.zeros(k.shape[0])
-    kz = k @ z
-    ktu = kt @ u
+    kz = kdot(z)
+    ktu = ktdot(u)
     j = 0
-    for iters in range(1, config.max_iters + 1):
-        z_new, u_new, kz_new, ktu_new, dz, du, p_res, d_res = pdhg_step(z, u, kz, ktu)
-        if p_res <= p_tol and d_res <= config.tol:
-            break
-        fixed = math.sqrt(omega * (dz @ dz) + (du @ du) / omega)
+    for iters in range(1, max_iters + 1):
+        z_new, u_new, kz_new, ktu_new, dz, du, dkz, p_res = pdhg_step(z, u, kz, ktu)
+        # The dual residual only decides the stop, so it is computed when the
+        # primal test passes or the cap is reached: with this step's sigma
+        # and movement, before a restart rebinds them.
+        if p_res <= p_tol or iters == max_iters:
+            d_res = dual_residual(du, dkz)
+            if p_res <= p_tol and d_res <= tol:
+                break
+        fixed = sqrt(omega * dz.dot(dz) + du.dot(du) / omega)
         if j == 0:
             fixed0 = fixed
         elif (
@@ -303,18 +318,19 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
             or (fixed <= _RESTART_NECESSARY * fixed0 and fixed > fixed_prev)
             or j >= _RESTART_ARTIFICIAL * iters
         ):
-            polished = _polish(problem, z_new, u_new) if iters < config.max_iters else None
+            polished = _polish(problem, z_new, u_new) if iters < max_iters else None
             if polished is not None:
                 z_pol, u_pol = polished
-                z_pol, u_pol, _, _, _, _, p_pol, d_pol = pdhg_step(z_pol, u_pol, k @ z_pol, kt @ u_pol)
-                if p_pol <= p_tol and d_pol <= config.tol:
+                z_pol, u_pol, _, _, _, du_pol, dkz_pol, p_pol = pdhg_step(z_pol, u_pol, kdot(z_pol), ktdot(u_pol))
+                d_pol = dual_residual(du_pol, dkz_pol)
+                if p_pol <= p_tol and d_pol <= tol:
                     z_new, u_new, p_res, d_res = z_pol, u_pol, p_pol, d_pol
                     iters += 1
                     break
             dz, du = z_new - z0, u_new - u0
-            moved_z, moved_u = math.sqrt(dz @ dz), math.sqrt(du @ du)
+            moved_z, moved_u = sqrt(dz.dot(dz)), sqrt(du.dot(du))
             if moved_z > _MOVEMENT_FLOOR and moved_u > _MOVEMENT_FLOOR:
-                omega = math.sqrt(omega * moved_u / moved_z)
+                omega = sqrt(omega * moved_u / moved_z)
                 tau, sigma = step / omega, step * omega
             z0 = z = z_new
             u0 = u = u_new
@@ -327,10 +343,10 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
         z += anchor * (z0 - z)
         u = u_new - du
         u += anchor * (u0 - u)
-        kz = k @ z
-        ktu = kt @ u
+        kz = kdot(z)
+        ktu = ktdot(u)
         j += 1
-    converged = p_res <= p_tol and d_res <= config.tol
+    converged = p_res <= p_tol and d_res <= tol
     return z_new, u_new, p_res, d_res, iters, converged
 
 
@@ -562,8 +578,9 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int) -> np.ndarray:
     trajectory = np.empty((iters + 1, x.size))
     trajectory[0] = x
     threshold = lam / step_bound
+    adot, atdot = a.dot, a.T.dot  # the bits of ``@`` at less cost, as in ``_pdhg``
     for i in range(1, iters + 1):
-        x = _soft_threshold(x - (a.T @ (a @ x - y)) / step_bound, threshold)
+        x = _soft_threshold(x - atdot(adot(x) - y) / step_bound, threshold)
         trajectory[i] = x
     return trajectory
 
@@ -611,8 +628,9 @@ def lista_eval(net: Lista, y) -> np.ndarray:
     _, y = check_measurement(net.w2.T, y)
     b = net.w2 @ y
     x = np.zeros(net.w1.shape[0])
+    w1dot = net.w1.dot
     for _ in range(net.depth):
-        x = _soft_threshold(net.w1 @ x + b, net.threshold)
+        x = _soft_threshold(w1dot(x) + b, net.threshold)
     return x
 
 

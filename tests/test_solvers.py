@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +131,14 @@ class TestSolveClosedForms:
         report = solve(lasso(np.eye(2), [3.0, 0.0], 0.0))
         assert report.converged
         assert np.array_equal(report.solution, np.zeros(2))
+
+    def test_lasso_budget_below_rounding(self):
+        # 3 - 1e-20 rounds to 3: the l1-ball projection must still find its
+        # threshold.
+        problem = lasso(np.eye(2), [3.0, 0.0], 1e-20)
+        report = solve(problem)
+        assert report.converged
+        assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
 
     def test_lasso_projects_onto_budget(self):
         report = solve(lasso(np.eye(2), [3.0, 0.0], 1.0))
@@ -418,6 +428,228 @@ class TestPolish:
             assert not verify_optimality(problem, report.solution, report.dual, 1e-7), problem.variant
             assert report.uniqueness == plain.uniqueness, problem.variant
         assert sum(r.iterations for r in polished) < sum(r.iterations for r in reference)
+
+
+def project_l1_ball_reference(v, radius):
+    """``solvers._project_l1_ball`` before it found its last positive index
+    with ``nonzero()[0][-1]``."""
+    mag = np.abs(v)
+    if mag.sum() <= radius:
+        return v.copy()
+    if radius == 0.0:
+        return np.zeros_like(v)
+    drop = np.sort(mag)[::-1]
+    cumulative = np.cumsum(drop)
+    idx = np.arange(1, v.size + 1)
+    positive = drop - (cumulative - radius) / idx > 0
+    k = int(np.max(np.nonzero(positive)[0])) + 1
+    theta = (cumulative[k - 1] - radius) / k
+    return _soft_threshold(v, theta)
+
+
+def project_l2_ball_reference(u, center, radius):
+    """``solvers._project_l2_ball`` when it copied a point inside the ball."""
+    d = u - center
+    nd = math.sqrt(d @ d)
+    if nd <= radius:
+        return u.copy()
+    return center + d * (radius / nd)
+
+
+def project_linf_ball_reference(u, center, radius):
+    """``solvers._project_linf_ball`` through ``np.clip``."""
+    return center + np.clip(u - center, -radius, radius)
+
+
+def pdhg_reference(problem, config):
+    """``solvers._pdhg`` as it was before its hot path was trimmed (``@``
+    products, both residuals every step, attribute lookups in the loop),
+    kept verbatim apart from the module prefixes. Run it under
+    ``reference_kernels`` so that it also projects as it did then."""
+    k, prox_primal, prox_dual = solvers._variant_operators(problem)
+    step = 0.95 / max(spectral_norm(k), 1e-30)
+    p_tol = config.tol * min(1.0, problem.parameter) if problem.variant == "bpdn" else config.tol
+    kt = k.T
+    omega = 1.0
+    tau = sigma = step
+
+    def pdhg_step(z, u, kz, ktu):
+        """T(z, u), its movement and the residuals of the pair it returns."""
+        z_new = prox_primal(z - tau * ktu, tau)
+        kz_new = k @ z_new
+        dz = z - z_new
+        dkz = kz - kz_new
+        u_new = prox_dual(u + sigma * (kz_new - dkz), sigma)
+        ktu_new = kt @ u_new
+        du = u - u_new
+        r = dz / tau - (ktu - ktu_new)
+        p_res = math.sqrt(r @ r)
+        r = du / sigma - dkz
+        d_res = math.sqrt(r @ r)
+        return z_new, u_new, kz_new, ktu_new, dz, du, p_res, d_res
+
+    z0 = z = np.zeros(k.shape[1])
+    u0 = u = np.zeros(k.shape[0])
+    kz = k @ z
+    ktu = kt @ u
+    j = 0
+    for iters in range(1, config.max_iters + 1):
+        z_new, u_new, kz_new, ktu_new, dz, du, p_res, d_res = pdhg_step(z, u, kz, ktu)
+        if p_res <= p_tol and d_res <= config.tol:
+            break
+        fixed = math.sqrt(omega * (dz @ dz) + (du @ du) / omega)
+        if j == 0:
+            fixed0 = fixed
+        elif (
+            fixed <= solvers._RESTART_SUFFICIENT * fixed0
+            or (fixed <= solvers._RESTART_NECESSARY * fixed0 and fixed > fixed_prev)
+            or j >= solvers._RESTART_ARTIFICIAL * iters
+        ):
+            polished = solvers._polish(problem, z_new, u_new) if iters < config.max_iters else None
+            if polished is not None:
+                z_pol, u_pol = polished
+                z_pol, u_pol, _, _, _, _, p_pol, d_pol = pdhg_step(z_pol, u_pol, k @ z_pol, kt @ u_pol)
+                if p_pol <= p_tol and d_pol <= config.tol:
+                    z_new, u_new, p_res, d_res = z_pol, u_pol, p_pol, d_pol
+                    iters += 1
+                    break
+            dz, du = z_new - z0, u_new - u0
+            moved_z, moved_u = math.sqrt(dz @ dz), math.sqrt(du @ du)
+            if moved_z > solvers._MOVEMENT_FLOOR and moved_u > solvers._MOVEMENT_FLOOR:
+                omega = math.sqrt(omega * moved_u / moved_z)
+                tau, sigma = step / omega, step * omega
+            z0 = z = z_new
+            u0 = u = u_new
+            kz, ktu = kz_new, ktu_new
+            j = 0
+            continue
+        fixed_prev = fixed
+        anchor = 1.0 / (j + 2)
+        z = z_new - dz  # the reflection 2 T(w) - w, then the pull towards w0
+        z += anchor * (z0 - z)
+        u = u_new - du
+        u += anchor * (u0 - u)
+        kz = k @ z
+        ktu = kt @ u
+        j += 1
+    converged = p_res <= p_tol and d_res <= config.tol
+    return z_new, u_new, p_res, d_res, iters, converged
+
+
+@contextlib.contextmanager
+def reference_kernels():
+    """``solvers`` projecting with the reference kernels."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_project_l1_ball", project_l1_ball_reference)
+        patch.setattr(solvers, "_project_l2_ball", project_l2_ball_reference)
+        patch.setattr(solvers, "_project_linf_ball", project_linf_ball_reference)
+        yield
+
+
+def random_problem(rng, variant):
+    """A Gaussian A of 2-8 rows and 2-11 columns, a sparse x and y = A x
+    plus noise; qcbp's eta grows until y is within it of range(A)."""
+    m, n = int(rng.integers(2, 9)), int(rng.integers(2, 12))
+    a = rng.standard_normal((m, n))
+    x = np.zeros(n)
+    x[rng.choice(n, size=min(2, n), replace=False)] = rng.standard_normal(min(2, n))
+    y = a @ x + 0.01 * rng.standard_normal(m)
+    parameter = np.abs(x).sum() if variant == "lasso" else 0.05
+    if variant == "qcbp":
+        parameter += np.linalg.norm(a @ np.linalg.lstsq(a, y, rcond=None)[0] - y)
+    return solvers.ProblemSpec(variant, a, y, parameter)
+
+
+class TestPdhgMatchesReference:
+    def assert_same_run(self, problem, config):
+        z, u, p_res, d_res, iters, converged = solvers._pdhg(problem, config)
+        with reference_kernels():
+            z_ref, u_ref, p_ref, d_ref, iters_ref, converged_ref = pdhg_reference(problem, config)
+        assert z.tobytes() == z_ref.tobytes() and u.tobytes() == u_ref.tobytes()
+        assert (p_res, d_res, iters, converged) == (p_ref, d_ref, iters_ref, converged_ref)
+        return iters, converged
+
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    def test_six_by_eight_problems(self, variant):
+        for seed in range(12):
+            a, x, y = sparse_instance(np.random.default_rng([seed, 43]))
+            eta = (1e-1, 1e-2, 1e-3, 0.0)[seed % 4]
+            parameter = {"qcbp": eta, "bpdn": 0.05, "lasso": np.abs(x).sum(), "dantzig": eta}[variant]
+            problem = solvers.ProblemSpec(variant, a, y, parameter)
+            _, converged = self.assert_same_run(problem, SolveConfig(max_iters=20_000))
+            assert converged, (variant, seed)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 8, 13, 40])
+    def test_capped_random_problems(self, max_iters):
+        rng = np.random.default_rng([max_iters, 44])
+        capped = 0
+        for i in range(40):
+            problem = random_problem(rng, solvers.VARIANTS[i % 4])
+            iters, converged = self.assert_same_run(problem, SolveConfig(max_iters=max_iters))
+            capped += not converged and iters == max_iters
+        assert capped
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+# Bounded so that no sum or difference of nine entries overflows.
+entry = st.one_of(signed_zero, st.floats(-1e300, 1e300))
+non_negative = st.one_of(signed_zero, st.floats(0.0, 1e300))
+
+
+class TestProxKernels:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        t=st.lists(entry, min_size=1, max_size=9),
+        z=non_negative,
+        tie=st.integers(0, 8),
+    )
+    def test_soft_threshold_keeps_the_sign_of_zero_rule(self, t, z, tie):
+        # sign(t) * max(|t| - z, 0) maps -0.0 to +0.0 and a negative entry
+        # within the threshold to -0.0; np.copysign(max(|t| - z, 0), t), a
+        # call cheaper, would map -0.0 to -0.0.
+        t = np.array(t)
+        if tie < t.size:
+            z = abs(t[tie])  # a tie |t| = z
+        want = [0.0 if v == 0 else math.copysign(max(abs(v) - z, 0.0), v) for v in t.tolist()]
+        assert _soft_threshold(t, z).tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        u=st.lists(entry, min_size=1, max_size=9),
+        center=st.one_of(st.none(), st.lists(entry, min_size=9, max_size=9)),
+        radius=non_negative,
+        tie=st.integers(0, 8),
+    )
+    def test_linf_projection_matches_np_clip(self, u, center, radius, tie):
+        u = np.array(u)
+        # A zero center passes u's signed zeros through to u - center.
+        center = np.zeros(u.size) if center is None else np.array(center[: u.size])
+        if tie < u.size:
+            radius = abs(u[tie] - center[tie])  # entry ``tie`` lands on the bound
+        got = solvers._project_linf_ball(u, center, radius)
+        assert got.tobytes() == project_linf_ball_reference(u, center, radius).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(v=st.lists(entry, min_size=1, max_size=9), radius=non_negative)
+    def test_l1_projection_matches_the_reference(self, v, radius):
+        v = np.array(v)
+        try:
+            want = project_l1_ball_reference(v, radius)
+        except ValueError:
+            # Rounding can leave no index positive when radius << max|v|;
+            # the first always is in exact arithmetic, which gives theta.
+            want = _soft_threshold(v, np.abs(v).max() - radius)
+        assert solvers._project_l1_ball(v, radius).tobytes() == want.tobytes()
+
+    def test_l2_projection_returns_an_inside_point_itself(self, rng):
+        center = rng.standard_normal(5)
+        for radius, inside in ((10.0, True), (0.0, False), (1e-3, False)):
+            u = center + 0.1 * rng.standard_normal(5)
+            before = u.copy()
+            got = solvers._project_l2_ball(u, center, radius)
+            assert (got is u) == inside
+            assert u.tobytes() == before.tobytes()
+            assert got.tobytes() == project_l2_ball_reference(u, center, radius).tobytes()
 
 
 class TestNoiseScaling:
