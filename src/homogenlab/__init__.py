@@ -41,14 +41,10 @@ from .solvers import (
     ProblemSpec,
     SolveConfig,
     SolveReport,
-    bpdn,
     brute_force_sparse_fit,
-    dantzig,
     ista_run,
-    lasso,
     lista_eval,
     lista_from_ista,
-    qcbp,
     robustness_scan,
     selection_discontinuity_demo,
     solve,

@@ -400,7 +400,7 @@ def _cmd_solve(args):
     if parameter is None:
         raise ValueError(f"{args.variant} needs --{flag}")
     a = read_matrix_csv(args.infile)
-    problem = getattr(solvers, args.variant)(a, args.y, parameter)
+    problem = solvers.ProblemSpec(args.variant, a, args.y, parameter)
     report = solvers.solve(problem, solvers.SolveConfig(max_iters=args.max_iters, tol=args.tol))
     fields = ("objective", "primal_residual", "dual_residual", "iterations", "converged", "uniqueness")
     header = fields + tuple(f"z{i}" for i in range(report.solution.size))

@@ -222,7 +222,6 @@ def recovery_experiment(
     trials: int = 8,
     num_signals: int | None = None,
     densify_points: int = DENSIFY_POINTS,
-    rip_threshold: float = 1.0,
     curves: list | None = None,
 ) -> tuple[np.ndarray, NetworkSpec, "object", list[tuple]]:
     """Build the two-hidden-layer recovery net for a seeded Gaussian map and
@@ -230,7 +229,7 @@ def recovery_experiment(
     inputs.
 
     The isometry constant of order min(2s, n) is verified exhaustively before
-    any training; the run is rejected when it reaches ``rip_threshold``.
+    any training; the run is rejected when it reaches 1.
     The net trains on ``num_signals`` rows: the signed basis, cycled, for
     s = 1, and otherwise the sampler's draws from ``default_rng([seed, 101])``.
     Returns (matrix, net, rip report, rows).
@@ -244,11 +243,10 @@ def recovery_experiment(
         raise ValueError("need at least one signal")
     if densify_points < 0:
         raise ValueError("densify points must be non-negative")
-    rip = rip_exhaustive(a, min(2 * s, n))
-    if rip.delta >= rip_threshold:
-        raise ValueError(
-            f"RIP check failed: delta_{min(2 * s, n)} = {rip.delta:.6f} >= {rip_threshold}"
-        )
+    order = min(2 * s, n)
+    rip = rip_exhaustive(a, order)
+    if rip.delta >= 1.0:
+        raise ValueError(f"RIP check failed: delta_{order} = {rip.delta:.6f} >= 1.0")
     if s == 1:
         exact = _signed_basis(n)
         signals = exact[np.arange(num_signals) % (2 * n)]

@@ -57,8 +57,6 @@ from .numerics import (
     sphere_noise,
 )
 
-VARIANTS = ("qcbp", "bpdn", "lasso", "dantzig")
-
 #: ``brute_force_sparse_fit`` refits exactly every support whose screened
 #: residual lies within this multiple of (||y|| + smallest screened residual)
 #: of the smallest.
@@ -67,13 +65,13 @@ SCREEN_RTOL = 1e-9
 
 #: The parameter each program reads, by the name of its CLI flag.
 PARAMETERS = {"qcbp": "eta", "bpdn": "lam", "lasso": "tau", "dantzig": "eta"}
+VARIANTS = tuple(PARAMETERS)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """One of the four recovery programs, min f(z) + g(K z - c), with its one
-    parameter (``PARAMETERS``); build instances via the qcbp/bpdn/lasso/dantzig
-    helpers."""
+    parameter (``PARAMETERS``)."""
 
     variant: str
     a: np.ndarray
@@ -101,22 +99,6 @@ class ProblemSpec:
                 raise ValueError(
                     f"qcbp is infeasible: y lies {gap:.6g} from the range of A, eta is {t:.6g}"
                 )
-
-
-def qcbp(a, y, eta: float) -> ProblemSpec:
-    return ProblemSpec("qcbp", a, y, eta)
-
-
-def bpdn(a, y, lam: float) -> ProblemSpec:
-    return ProblemSpec("bpdn", a, y, lam)
-
-
-def lasso(a, y, tau_budget: float) -> ProblemSpec:
-    return ProblemSpec("lasso", a, y, tau_budget)
-
-
-def dantzig(a, y, eta: float) -> ProblemSpec:
-    return ProblemSpec("dantzig", a, y, eta)
 
 
 @dataclass(frozen=True)
@@ -650,9 +632,12 @@ def robustness_scan(
     of ``check_positive_homogeneity``; it is called through ``map_rows``."""
     a, x = check_signal(a, x)
     radii, e = sphere_noise(np.random.default_rng(seed), noise_levels, trials, a.shape[0])
+    norm_e = row_norms(e)
+    if not norm_e.all():  # the squared entries underflow
+        raise ValueError(f"noise level {radii[norm_e.argmin()]:g} is too small: ||e|| rounds to 0")
     y = a @ x
     base = map_rows(f, y[None, :])
-    gains = row_norms(map_rows(f, y + e) - base) / row_norms(e)
+    gains = row_norms(map_rows(f, y + e) - base) / norm_e
     return [(r, i % trials, g) for i, (r, g) in enumerate(zip(radii.tolist(), gains.tolist()))]
 
 

@@ -35,17 +35,14 @@ from homogenlab.network import (
 )
 from homogenlab.numerics import spectral_norm
 from homogenlab.solvers import (
+    ProblemSpec,
     SolveConfig,
     _soft_threshold,
-    bpdn,
     brute_force_sparse_fit,
-    dantzig,
     ista_objective,
     ista_run,
-    lasso,
     lista_eval,
     lista_from_ista,
-    qcbp,
     selection_discontinuity_demo,
     solve,
 )
@@ -186,9 +183,7 @@ def test_criterion_07_two_hidden_layer_recovery():
     t0 = time.time()
     n, m, s = 6, 4, 1
     fit = FitConfig(width=128, learning_rate=0.4, steps=6000, restarts=2, seed=552, target_mse=2e-5)
-    a, net, rip, rows = recovery_experiment(
-        n, m, s, fit, noise_levels=(1e-3, 1e-2, 1e-1), trials=8, rip_threshold=0.61
-    )
+    a, net, rip, rows = recovery_experiment(n, m, s, fit, noise_levels=(1e-3, 1e-2, 1e-1), trials=8)
     assert rip.delta <= 0.6
     exact = [r for r in rows if r[0] == "exact"]
     assert len(exact) == 12
@@ -226,7 +221,7 @@ def test_criterion_08_solver_matches_brute_force():
         x = np.zeros(n)
         x[support] = rng.standard_normal(s)
         y = a @ x
-        rep = solve(qcbp(a, y, 0.0), SolveConfig(max_iters=200_000, tol=1e-9))
+        rep = solve(ProblemSpec("qcbp", a, y, 0.0), SolveConfig(max_iters=200_000, tol=1e-9))
         assert rep.converged
         sup, coef, _ = brute_force_sparse_fit(a, y, s)
         xb = np.zeros(n)
@@ -238,14 +233,14 @@ def test_criterion_08_solver_matches_brute_force():
 
 def test_criterion_09_closed_form_solver_checks():
     cfg = SolveConfig(tol=1e-10)
-    rep = solve(bpdn(np.array([[1.0]]), [3.0], 2.0), cfg)
+    rep = solve(ProblemSpec("bpdn", np.array([[1.0]]), [3.0], 2.0), cfg)
     assert rep.converged and abs(rep.solution[0] - 2.0) <= 1e-8
     y = np.array([3.0, 0.5])
-    rep = solve(dantzig(np.eye(2), y, 1.0), cfg)
+    rep = solve(ProblemSpec("dantzig", np.eye(2), y, 1.0), cfg)
     assert rep.converged and np.max(np.abs(rep.solution - _soft_threshold(y, 1.0))) <= 1e-8
-    rep = solve(lasso(np.eye(2), [3.0, 0.0], 1.0), cfg)
+    rep = solve(ProblemSpec("lasso", np.eye(2), [3.0, 0.0], 1.0), cfg)
     assert rep.converged and np.max(np.abs(rep.solution - [1.0, 0.0])) <= 1e-8
-    rep = solve(qcbp(np.eye(2), [3.0, 0.0], 1.0), cfg)
+    rep = solve(ProblemSpec("qcbp", np.eye(2), [3.0, 0.0], 1.0), cfg)
     assert rep.converged and np.max(np.abs(rep.solution - [2.0, 0.0])) <= 1e-8
     report(9, "bpdn scalar, dantzig shrinkage, lasso budget, qcbp boundary all within 1e-8")
 

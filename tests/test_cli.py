@@ -238,6 +238,10 @@ REJECTED_ARGUMENTS = [
     ("rip --in {tmp}/a.csv --seed 3 --order 2 --out {tmp}/out.csv", "--in excludes --seed"),
     ("solve --variant bpdn --in {tmp}/a{nl}b.csv --y 1,0,0 --lam 0.1 --out {tmp}/out.csv",
      "cannot record \"in='{tmp}/a\\nb.csv'\" on one line: the value holds a line break"),
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e-170 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 1e-170 is too small: ||e|| rounds to 0"),
+    ("recovery-experiment --n 6 --m 5 --s 2 --seed 0 --out {tmp}/out.csv",
+     "RIP check failed: delta_4 = 1.452362 >= 1.0"),
 ]
 
 

@@ -129,7 +129,7 @@ class TestRecoveryExperiment:
     def test_rip_failure_rejected_before_training(self):
         fit = FitConfig(width=8, learning_rate=0.3, steps=10, restarts=1, seed=0)
         with pytest.raises(ValueError, match="RIP"):
-            recovery_experiment(6, 4, 1, fit, [0.1], rip_threshold=0.05)
+            recovery_experiment(6, 5, 2, fit, [0.1])  # delta_4 = 1.452
 
     @staticmethod
     def training_signals(monkeypatch, *args):
@@ -225,13 +225,11 @@ def recovery_rows_reference(net, a, s, seed, levels, trials):
 
 
 class TestBatchedRowsMatchPerPoint:
-    @pytest.mark.parametrize("s, seed", [(1, 552), (2, 31)])
-    def test_recovery_rows(self, s, seed):
+    @pytest.mark.parametrize("s, m, seed", [(1, 4, 552), (2, 5, 48)])
+    def test_recovery_rows(self, s, m, seed):
         fit = FitConfig(width=16, learning_rate=0.4, steps=100, restarts=1, seed=seed)
         levels = [1e-3, 1e-2, 1e-1]
-        a, net, _, rows = recovery_experiment(
-            6, 4, s, fit, levels, trials=15, densify_points=32, rip_threshold=10.0
-        )
+        a, net, _, rows = recovery_experiment(6, m, s, fit, levels, trials=15, densify_points=32)
         want = recovery_rows_reference(net, a, s, seed, levels, 15)
         assert len(rows) == len(want) == 1 + 12 + 15 + 45
         assert [r[:5] for r in rows] == [w[:5] for w in want]

@@ -14,17 +14,14 @@ from homogenlab.experiments import gaussian_matrix
 from homogenlab.network import PROBE_CHUNK, ActivationSpec, LayerSpec, NetworkSpec, evaluate
 from homogenlab.numerics import spectral_norm
 from homogenlab.solvers import (
+    ProblemSpec,
     SolveConfig,
     _soft_threshold,
-    bpdn,
     brute_force_sparse_fit,
-    dantzig,
     ista_objective,
     ista_run,
-    lasso,
     lista_eval,
     lista_from_ista,
-    qcbp,
     robustness_scan,
     selection_discontinuity_demo,
     solve,
@@ -47,34 +44,35 @@ def quality_set():
     for seed in range(10):
         a, x, y = sparse_instance(np.random.default_rng([seed, 40]))
         eta = (1e-1, 1e-2, 1e-3)[seed % 3]
-        yield from (qcbp(a, y, eta), bpdn(a, y, 0.05), lasso(a, y, np.abs(x).sum()), dantzig(a, y, eta))
+        parameters = {"qcbp": eta, "bpdn": 0.05, "lasso": np.abs(x).sum(), "dantzig": eta}
+        yield from (ProblemSpec(v, a, y, t) for v, t in parameters.items())
 
 
 def scaled_problem(variant, a, x, y, c=1.0):
     """``variant`` on (A, c y) with eta = lam = 0.05 c or tau = 0.9 c ||x||_1:
     its minimizers are c times those at c = 1."""
     parameter = 0.9 * np.abs(x).sum() if variant == "lasso" else 0.05
-    return solvers.ProblemSpec(variant, a, c * y, c * parameter)
+    return ProblemSpec(variant, a, c * y, c * parameter)
 
 
 class TestProblemSpec:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="^unknown variant 'basis-pursuit'"):
-            solvers.ProblemSpec("basis-pursuit", np.eye(2), np.ones(2), 0.1)
+            ProblemSpec("basis-pursuit", np.eye(2), np.ones(2), 0.1)
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
-            qcbp(np.eye(2), np.ones(2), -0.5)
+            ProblemSpec("qcbp", np.eye(2), np.ones(2), -0.5)
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
-            bpdn(np.eye(2), np.ones(2), 0.0)
+            ProblemSpec("bpdn", np.eye(2), np.ones(2), 0.0)
 
     def test_dantzig_takes_any_matrix(self):
         # A^T (A z - y) = (14 z1 - 6, 0): the smallest |z1| with
         # |14 z1 - 6| <= 0.1 is 5.9 / 14, and z2 is free, so 0.
         rank_deficient = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        problem = dantzig(rank_deficient, np.ones(3), 0.1)
+        problem = ProblemSpec("dantzig", rank_deficient, np.ones(3), 0.1)
         report = solve(problem)
         assert report.converged
         assert np.allclose(report.solution, [5.9 / 14, 0.0], atol=1e-8)
@@ -83,27 +81,27 @@ class TestProblemSpec:
     def test_dantzig_takes_a_tall_matrix(self):
         # A least-squares solution has A^T (A z - y) = 0, so every A is feasible.
         rng = np.random.default_rng([8, 5])
-        problem = dantzig(gaussian_matrix(rng, 8, 5), rng.standard_normal(8), 0.05)
+        problem = ProblemSpec("dantzig", gaussian_matrix(rng, 8, 5), rng.standard_normal(8), 0.05)
         report = solve(problem)
         assert report.converged
         assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
 
     def test_measurement_length_checked(self):
         with pytest.raises(ValueError):
-            qcbp(np.eye(2), np.ones(3), 0.1)
+            ProblemSpec("qcbp", np.eye(2), np.ones(3), 0.1)
 
     def test_infeasible_qcbp_rejected(self):
         # range(A) is the line through (1, 2, 3); (1, 0, 0) lies 0.96 from it
         rank_deficient = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         with pytest.raises(ValueError, match="infeasible"):
-            qcbp(rank_deficient, [1.0, 0.0, 0.0], 0.5)
-        qcbp(rank_deficient, [1.0, 0.0, 0.0], 0.97)
-        qcbp(rank_deficient, [0.1, 0.2, 0.3], 0.0)
+            ProblemSpec("qcbp", rank_deficient, [1.0, 0.0, 0.0], 0.5)
+        ProblemSpec("qcbp", rank_deficient, [1.0, 0.0, 0.0], 0.97)
+        ProblemSpec("qcbp", rank_deficient, [0.1, 0.2, 0.3], 0.0)
 
     def test_holds_read_only_copies(self, rng):
         a, y = rng.standard_normal((3, 5)), rng.standard_normal(3)
         a_before, y_before = a.copy(), y.copy()
-        problem = bpdn(a, y, 0.1)
+        problem = ProblemSpec("bpdn", a, y, 0.1)
         assert a.flags.writeable and y.flags.writeable
         a[0, 0] = y[0] = np.nan
         assert np.array_equal(problem.a, a_before) and np.array_equal(problem.y, y_before)
@@ -112,42 +110,42 @@ class TestProblemSpec:
 
 class TestSolveClosedForms:
     def test_qcbp_shrinks_to_ball_boundary(self):
-        report = solve(qcbp(np.eye(2), [3.0, 0.0], 1.0))
+        report = solve(ProblemSpec("qcbp", np.eye(2), [3.0, 0.0], 1.0))
         assert report.converged
         assert np.allclose(report.solution, [2.0, 0.0], atol=1e-8)
 
     def test_qcbp_large_eta_gives_zero(self):
-        report = solve(qcbp(np.eye(2), [3.0, 0.0], 4.0))
+        report = solve(ProblemSpec("qcbp", np.eye(2), [3.0, 0.0], 4.0))
         assert report.converged
         assert np.allclose(report.solution, 0.0, atol=1e-10)
 
     def test_bpdn_scalar_stationarity(self):
         # 2 sign(z) + 2 (z - 3) = 0  =>  z = 2
-        report = solve(bpdn(np.array([[1.0]]), [3.0], 2.0), SolveConfig(tol=1e-10))
+        report = solve(ProblemSpec("bpdn", np.array([[1.0]]), [3.0], 2.0), SolveConfig(tol=1e-10))
         assert report.converged
         assert report.solution[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_lasso_zero_budget(self):
-        report = solve(lasso(np.eye(2), [3.0, 0.0], 0.0))
+        report = solve(ProblemSpec("lasso", np.eye(2), [3.0, 0.0], 0.0))
         assert report.converged
         assert np.array_equal(report.solution, np.zeros(2))
 
     def test_lasso_budget_below_rounding(self):
         # 3 - 1e-20 rounds to 3: the l1-ball projection must still find its
         # threshold.
-        problem = lasso(np.eye(2), [3.0, 0.0], 1e-20)
+        problem = ProblemSpec("lasso", np.eye(2), [3.0, 0.0], 1e-20)
         report = solve(problem)
         assert report.converged
         assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
 
     def test_lasso_projects_onto_budget(self):
-        report = solve(lasso(np.eye(2), [3.0, 0.0], 1.0))
+        report = solve(ProblemSpec("lasso", np.eye(2), [3.0, 0.0], 1.0))
         assert report.converged
         assert np.allclose(report.solution, [1.0, 0.0], atol=1e-8)
 
     def test_dantzig_orthonormal_soft_threshold(self):
         y = np.array([3.0, 0.5])
-        report = solve(dantzig(np.eye(2), y, 1.0))
+        report = solve(ProblemSpec("dantzig", np.eye(2), y, 1.0))
         assert report.converged
         want = _soft_threshold(y, 1.0)
         assert np.allclose(report.solution, want, atol=1e-8)
@@ -159,10 +157,10 @@ class TestSolveClosedForms:
             x[trial % 8] = 1.0
             y = a @ x + 0.01 * np.sin(np.arange(5.0))
             problems = [
-                qcbp(a, y, 0.05),
-                bpdn(a, y, 0.1),
-                lasso(a, y, 1.5),
-                dantzig(a, y, 0.05),
+                ProblemSpec("qcbp", a, y, 0.05),
+                ProblemSpec("bpdn", a, y, 0.1),
+                ProblemSpec("lasso", a, y, 1.5),
+                ProblemSpec("dantzig", a, y, 0.05),
             ]
             for problem in problems:
                 report = solve(problem, SolveConfig(tol=1e-8))
@@ -171,7 +169,7 @@ class TestSolveClosedForms:
                 assert not violations, (problem.variant, violations)
 
     def test_iteration_cap_reports_non_convergence(self):
-        report = solve(qcbp(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(max_iters=2))
+        report = solve(ProblemSpec("qcbp", np.eye(2), [3.0, 0.0], 1.0), SolveConfig(max_iters=2))
         assert not report.converged
         assert report.iterations == 2
         assert report.uniqueness == "undetermined"
@@ -191,7 +189,7 @@ class TestConvergence:
         for seed in range(10, 30):
             rng = np.random.default_rng([seed, 40])
             a = gaussian_matrix(rng, 6, 8)
-            problem = bpdn(a, a[:, :2] @ rng.standard_normal(2) + 0.01 * rng.standard_normal(6), 0.05)
+            problem = ProblemSpec("bpdn", a, a[:, :2] @ rng.standard_normal(2) + 0.01 * rng.standard_normal(6), 0.05)
             report = solve(problem)
             assert report.converged
             assert np.abs(a.T @ report.dual).max() <= 0.05 * (1.0 + 1e-7)
@@ -204,7 +202,7 @@ class TestConvergence:
         a = 1e3 * gaussian_matrix(rng, 6, 8)
         x = np.zeros(8)
         x[[1, 5]] = [1.0, -0.5]
-        problem = qcbp(a, a @ x + 1e3 * 0.01 * np.eye(6)[0], 1e3 * 0.01)
+        problem = ProblemSpec("qcbp", a, a @ x + 1e3 * 0.01 * np.eye(6)[0], 1e3 * 0.01)
         report = solve(problem, SolveConfig(max_iters=20_000))
         assert report.converged
         assert not verify_optimality(problem, report.solution, report.dual, 1e-7)
@@ -257,20 +255,20 @@ class TestUniqueness:
             return engine(*args)
 
         monkeypatch.setattr(solvers, "_pdhg", counted)
-        solve(qcbp(np.eye(2), [3.0, 0.0], 1.0))
+        solve(ProblemSpec("qcbp", np.eye(2), [3.0, 0.0], 1.0))
         assert len(calls) == 1
 
     def test_duplicated_column_basis_pursuit_is_not_unique(self):
         a = low_coherence_matrix(np.random.default_rng(5), 5, 7)
         a = np.hstack([a, a[:, :1]])
-        report = solve(qcbp(a, a[:, 0], 0.0))
+        report = solve(ProblemSpec("qcbp", a, a[:, 0], 0.0))
         assert report.converged
         assert report.uniqueness == "not_unique"
 
     def test_well_conditioned_one_sparse_is_unique(self):
         a = low_coherence_matrix(np.random.default_rng(5), 6, 8)
         y = a[:, 2]
-        for problem in (qcbp(a, y, 0.05), bpdn(a, y, 0.1)):
+        for problem in (ProblemSpec("qcbp", a, y, 0.05), ProblemSpec("bpdn", a, y, 0.1)):
             report = solve(problem)
             assert report.converged, problem.variant
             assert report.uniqueness == "unique", problem.variant
@@ -279,7 +277,7 @@ class TestUniqueness:
         # ||A z - y||^2 is strictly convex when A has full column rank, so the
         # minimizer is unique whether or not the budget is active
         for tau in (1.0, 10.0):
-            report = solve(lasso(np.eye(2), [3.0, 0.0], tau))
+            report = solve(ProblemSpec("lasso", np.eye(2), [3.0, 0.0], tau))
             assert report.converged
             assert report.uniqueness == "unique", tau
 
@@ -322,7 +320,7 @@ class TestUniqueness:
         assert solve(scaled_problem("qcbp", a, x, y, 1e-3), SolveConfig(max_iters=20_000)).converged
 
     def test_dual_must_clear_its_bound_off_the_support(self):
-        problem = qcbp(np.eye(2), [3.0, 0.0], 1.0)
+        problem = ProblemSpec("qcbp", np.eye(2), [3.0, 0.0], 1.0)
         z = np.array([2.0, 0.0])
         assert solvers._uniqueness(problem, z, np.array([-1.0, 0.5]), 1e-8) == "unique"
         for at_bound in (1.0, 1.0 - 1e-6):
@@ -343,12 +341,12 @@ class TestPolish:
     @pytest.mark.parametrize(
         "problem, config, want",
         [
-            (qcbp(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [2.0, 0.0]),
-            (bpdn(np.array([[1.0]]), [3.0], 2.0), SolveConfig(tol=1e-10), [2.0]),
-            (lasso(np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [1.0, 0.0]),
+            (ProblemSpec("qcbp", np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [2.0, 0.0]),
+            (ProblemSpec("bpdn", np.array([[1.0]]), [3.0], 2.0), SolveConfig(tol=1e-10), [2.0]),
+            (ProblemSpec("lasso", np.eye(2), [3.0, 0.0], 1.0), SolveConfig(), [1.0, 0.0]),
             # The budget is inactive: the answer is the least-squares fit.
-            (lasso(np.eye(2), [3.0, 0.0], 10.0), SolveConfig(), [3.0, 0.0]),
-            (dantzig(np.eye(2), [3.0, 0.5], 1.0), SolveConfig(), _soft_threshold(np.array([3.0, 0.5]), 1.0)),
+            (ProblemSpec("lasso", np.eye(2), [3.0, 0.0], 10.0), SolveConfig(), [3.0, 0.0]),
+            (ProblemSpec("dantzig", np.eye(2), [3.0, 0.5], 1.0), SolveConfig(), _soft_threshold(np.array([3.0, 0.5]), 1.0)),
         ],
         ids=["qcbp-boundary", "bpdn-scalar", "lasso-budget", "lasso-inactive-budget", "dantzig-soft-threshold"],
     )
@@ -382,7 +380,7 @@ class TestPolish:
         # A dual entry far below the others still ranks below the |S| active
         # rows, so the polish does not give up on it.
         a, _, y = sparse_instance(np.random.default_rng(0))
-        problem = dantzig(a, y, 0.05)
+        problem = ProblemSpec("dantzig", a, y, 0.05)
         report = solve(problem)
         assert report.converged
         u = report.dual.copy()
@@ -417,7 +415,8 @@ class TestPolish:
                 x[rng.choice(8, size=2, replace=False)] = rng.standard_normal(2)
                 y = a @ x + 0.01 * rng.standard_normal(6)
                 eta = (1e-1, 1e-2, 1e-3, 0.0)[seed % 4]
-                yield from (qcbp(a, y, eta), bpdn(a, y, 0.05), lasso(a, y, np.abs(x).sum()), dantzig(a, y, eta))
+                parameters = {"qcbp": eta, "bpdn": 0.05, "lasso": np.abs(x).sum(), "dantzig": eta}
+                yield from (ProblemSpec(v, a, y, t) for v, t in parameters.items())
 
         config = SolveConfig(max_iters=20_000)
         polished = [solve(problem, config) for problem in problems()]
@@ -557,7 +556,7 @@ def random_problem(rng, variant):
     parameter = np.abs(x).sum() if variant == "lasso" else 0.05
     if variant == "qcbp":
         parameter += np.linalg.norm(a @ np.linalg.lstsq(a, y, rcond=None)[0] - y)
-    return solvers.ProblemSpec(variant, a, y, parameter)
+    return ProblemSpec(variant, a, y, parameter)
 
 
 class TestPdhgMatchesReference:
@@ -575,7 +574,7 @@ class TestPdhgMatchesReference:
             a, x, y = sparse_instance(np.random.default_rng([seed, 43]))
             eta = (1e-1, 1e-2, 1e-3, 0.0)[seed % 4]
             parameter = {"qcbp": eta, "bpdn": 0.05, "lasso": np.abs(x).sum(), "dantzig": eta}[variant]
-            problem = solvers.ProblemSpec(variant, a, y, parameter)
+            problem = ProblemSpec(variant, a, y, parameter)
             _, converged = self.assert_same_run(problem, SolveConfig(max_iters=20_000))
             assert converged, (variant, seed)
 
@@ -665,7 +664,7 @@ class TestNoiseScaling:
             errs = {}
             for factor in (1.0, 2.0):
                 e = direction * eta * factor
-                report = solve(qcbp(a, a @ x + e, eta * factor), SolveConfig(max_iters=200_000))
+                report = solve(ProblemSpec("qcbp", a, a @ x + e, eta * factor), SolveConfig(max_iters=200_000))
                 assert report.converged
                 errs[factor] = np.linalg.norm(report.solution - x)
             assert errs[2.0] <= 2.5 * errs[1.0] + 1e-12
@@ -951,6 +950,17 @@ class TestRobustnessScan:
     def test_zero_level_rejected(self, rng):
         with pytest.raises(ValueError):
             robustness_scan(lambda y: y, np.eye(2), np.ones(2), [0.0, 0.1], 3, seed=1)
+
+    def test_underflowing_level_rejected_before_any_map(self):
+        def never(y):
+            raise AssertionError("the map ran")
+
+        # The squared entries of the noise underflow, so ||e|| is 0 and every
+        # ratio would be nan; at 1e-160 they are subnormal and the norm is not.
+        with pytest.raises(ValueError, match="noise level 1e-170 is too small"):
+            robustness_scan(never, np.eye(2), np.ones(2), [1e-3, 1e-170], 3, seed=1)
+        rows = robustness_scan(lambda y: y, np.eye(2), np.ones(2), [1e-160], 3, seed=1)
+        assert all(math.isfinite(ratio) for _, _, ratio in rows)
 
     def test_deterministic(self, rng):
         rows1 = robustness_scan(lambda y: y, np.eye(3), np.ones(3), [0.5], 4, seed=12)
