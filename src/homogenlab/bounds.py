@@ -120,7 +120,10 @@ def uat_negative_matrix(w) -> np.ndarray:
         raise ValueError("need at least one slope")
     if np.unique(w).size != w.size:
         raise ValueError("slopes must be pairwise distinct")
-    scale = np.sqrt(1.0 + w**2)
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(1.0 + w**2)
+    if np.isinf(scale).any():
+        raise ValueError(f"slope {w[np.isinf(scale).argmax()]:g} is too large: 1 + w^2 overflows")
     return np.vstack([np.ones_like(w), w]) / scale
 
 

@@ -268,6 +268,10 @@ def recovery_experiment(
     )
     rows = []
     for case, x, y, level in blocks:
-        cols = (row_norms(x), sparse_tail_l1(x, s), level, _errors(net, y, x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = _errors(net, y, x)
+        if not np.isfinite(err).all():  # only a huge noise level overflows
+            raise ValueError(f"noise level {level[np.isfinite(err).argmin()]:g} is too large: the error overflows")
+        cols = (row_norms(x), sparse_tail_l1(x, s), level, err)
         rows += [(case, idx, *map(float, row)) for idx, row in enumerate(zip(*cols))]
     return a, net, rip, rows

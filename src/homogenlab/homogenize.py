@@ -522,15 +522,9 @@ def build_inverse_recovery_net(
     dirs = y / scale
     vals = signals / scale
 
-    # The extension only needs distinct directions (contradictory repeats are
-    # rejected by its consistency check). Repeated rows stay in the training
-    # data; fit_regression merges them into weighted rows, so they still count
-    # once per row in the objective.
-    _, keep = np.unique(dirs.round(decimals=12), axis=0, return_index=True)
-    keep.sort()
-    anchor_dirs = dirs[keep]
-    anchor_vals = vals[keep]
-
+    # The anchors are the distinct rows, by the fitter's own rule; a direction
+    # sampled with two values reaches the extension's consistency check.
+    anchor_dirs, anchor_vals, _ = _merge_repeated_rows(dirs, vals)
     lipschitz_bound = 1.05 * max(minimal_consistent_lipschitz(anchor_dirs, anchor_vals), 1e-12)
     extension = mcshane_extend(anchor_dirs, anchor_vals, lipschitz_bound)
 

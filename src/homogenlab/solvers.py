@@ -632,12 +632,16 @@ def robustness_scan(
     of ``check_positive_homogeneity``; it is called through ``map_rows``."""
     a, x = check_signal(a, x)
     radii, e = sphere_noise(np.random.default_rng(seed), noise_levels, trials, a.shape[0])
-    norm_e = row_norms(e)
-    if not norm_e.all():  # the squared entries underflow
-        raise ValueError(f"noise level {radii[norm_e.argmin()]:g} is too small: ||e|| rounds to 0")
-    y = a @ x
-    base = map_rows(f, y[None, :])
-    gains = row_norms(map_rows(f, y + e) - base) / norm_e
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        norm_e = row_norms(e)
+        if not norm_e.all():  # the squared entries underflow
+            raise ValueError(f"noise level {radii[norm_e.argmin()]:g} is too small: ||e|| rounds to 0")
+        y = a @ x
+        base = map_rows(f, y[None, :])
+        gains = row_norms(map_rows(f, y + e) - base) / norm_e
+    finite = np.isfinite(norm_e) & np.isfinite(gains)
+    if not finite.all():  # a squared entry or the map overflows
+        raise ValueError(f"noise level {radii[finite.argmin()]:g} is too large: the gain overflows")
     return [(r, i % trials, g) for i, (r, g) in enumerate(zip(radii.tolist(), gains.tolist()))]
 
 

@@ -93,6 +93,12 @@ class TestUatNegative:
         with pytest.raises(ValueError, match="distinct"):
             uat_negative_matrix(np.array([1.0, 1.0]))
 
+    def test_slope_whose_square_overflows_rejected(self):
+        # 1e154 still gives a unit column; at 1e155, 1 + w^2 overflows.
+        assert np.allclose(uat_negative_matrix(np.array([1e154]))[:, 0], [1e-154, 1.0])
+        with pytest.raises(ValueError, match=r"slope -1e\+155 is too large"):
+            uat_negative_matrix(np.array([0.0, -1e155]))
+
     def test_empty_slopes_rejected(self):
         with pytest.raises(ValueError, match="at least one slope"):
             uat_negative_matrix(np.array([]))

