@@ -107,12 +107,12 @@ def _fit_config(args, width=None, optimizer="gd") -> homogenize.FitConfig:
     )
 
 
-def _add_fit_flags(p, width_default=128, learning_rate=0.4, steps=6000):
+def _add_fit_flags(p, width_default=128, learning_rate=0.4, steps=6000, restarts=2):
     if width_default is not None:
         p.add_argument("--width", type=int, default=width_default)
     p.add_argument("--learning-rate", type=float, default=learning_rate)
     p.add_argument("--steps", type=int, default=steps)
-    p.add_argument("--restarts", type=int, default=2)
+    p.add_argument("--restarts", type=int, default=restarts)
     p.add_argument("--target-mse", type=float, default=2e-5)
 
 
@@ -266,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--signals", type=int)
     p.add_argument("--densify", type=int, default=homogenize.DENSIFY_POINTS)
-    _add_fit_flags(p, learning_rate=3e-3, steps=1500)
+    _add_fit_flags(p, learning_rate=3e-3, steps=1500, restarts=1)
     p.add_argument("--save-net")
     p.add_argument("--save-curves", help="per-coordinate training curves as CSV")
     p.add_argument("--out", required=True)

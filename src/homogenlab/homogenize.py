@@ -6,7 +6,9 @@ network g into a bias-free two-hidden-layer relu network computing
 ``||x||_1 * g(x / ||x||_1)`` (and 0 at 0), which is scale invariant by
 construction. The pipeline samples an inverse map on the l1 sphere of the
 measurement space, densifies it with a Lipschitz inf-extension, fits a
-one-hidden-layer net per output coordinate, and lifts the result.
+one-hidden-layer net per output coordinate, moves each fit's output layer
+as little as possible so that it meets the sampled (anchor) values exactly,
+and lifts the result.
 
 ``fit_regressions`` fits several widths and seeds to the same rows at once:
 their restarts train side by side in one stack while they are small enough
@@ -484,6 +486,27 @@ def fit_regression(
     return fit
 
 
+def _interpolate_anchors(net: NetworkSpec, rows, counts, anchors, values) -> NetworkSpec:
+    """``net`` with its output row and bias theta moved by the least Delta,
+    in Delta^T M Delta, that fits ``values`` at ``anchors``: exactly when the
+    anchors' features F_a allow it, else in least squares. M = F^T F + mu I
+    over the features F = [relu(W1 x + b1), 1] of the training ``rows``
+    (weighted by their repeat ``counts``), with mu = 1e-3 tr(F^T F) / (k + 1);
+    Delta = -M^-1 F_a^T S^+ (F_a theta - values), S = F_a M^-1 F_a^T."""
+    hidden, out = net.layers
+
+    def features(x):
+        return np.hstack([np.maximum(x @ hidden.weights.T + hidden.bias, 0.0), np.ones((len(x), 1))])
+
+    f, f_a = features(rows), features(anchors)
+    gram = (f * counts).T @ f
+    gram[np.diag_indices_from(gram)] += 1e-3 * np.trace(gram) / len(gram)
+    theta = np.append(out.weights[0], out.bias)
+    spread = np.linalg.solve(gram, f_a.T)  # M^-1 F_a^T
+    theta -= spread @ (np.linalg.pinv(f_a @ spread, hermitian=True) @ (f_a @ theta - values))
+    return dataclasses.replace(net, layers=(hidden, LayerSpec(theta[None, :-1], theta[-1:])))
+
+
 def build_inverse_recovery_net(
     a,
     signals,
@@ -498,8 +521,13 @@ def build_inverse_recovery_net(
     (y_i / ||y_i||_1, x_i / ||y_i||_1); densify with the Lipschitz
     inf-extension at extra l1-sphere points, whose Lipschitz constant is the
     smallest one consistent with the data plus 5% headroom; fit one
-    hidden layer per output coordinate; put the n fits side by side in one
-    net (stacked hidden layers, block-diagonal output weights) and lift it.
+    hidden layer per output coordinate; move each fit's output row and bias
+    by the least change, measured on the training rows, that meets the
+    distinct sphere pairs (the anchors) exactly, or in least squares when
+    no output row can; put the n fits side by side in one net (stacked
+    hidden layers, block-diagonal output weights) and lift it. The lift
+    keeps g on the l1 sphere, so the net is exact at every multiple of an
+    anchor.
 
     Pass a list as ``curves`` to collect (coordinate, restart, step, mse)
     training-curve rows, one per step, in coordinate order.
@@ -532,11 +560,16 @@ def build_inverse_recovery_net(
     train_dirs = np.vstack([dirs, extra])
     train_vals = np.vstack([vals, extension(extra)])
 
+    # The correction's metric counts a repeated row as the fitter does, and
+    # holds each distinct row once.
+    rows, _, counts = _merge_repeated_rows(train_dirs, train_vals)
+
     hidden, outs = [], []
     for j in range(n):
         coord_fit = dataclasses.replace(fit, seed=fit.seed * 1_000_003 + j)
         curve = None if curves is None else []
         net_j, _ = fit_regression(train_dirs, train_vals[:, j], coord_fit, curve=curve)
+        net_j = _interpolate_anchors(net_j, rows, counts, anchor_dirs, anchor_vals[:, j])
         if curves is not None:
             curves.extend((j, *row) for row in curve)
         hidden.append(net_j.layers[0])

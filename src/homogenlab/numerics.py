@@ -97,7 +97,11 @@ def sphere_noise(rng: np.random.Generator, levels, trials: int, dim: int):
         raise ValueError("need at least one trial per noise level")
     radii = np.repeat(levels, trials)
     e = rng.standard_normal((radii.size, dim))
-    e *= (radii / row_norms(e))[:, None]
+    with np.errstate(over="ignore"):  # rejected below
+        e *= (radii / row_norms(e))[:, None]
+    finite = np.isfinite(e).all(axis=1)
+    if not finite.all():  # a level near the largest float over a short draw
+        raise ValueError(f"noise level {radii[finite.argmin()]:g} is too large: the noise draw overflows")
     return radii, e
 
 

@@ -242,16 +242,20 @@ REJECTED_ARGUMENTS = [
      "--seed 1 --out {tmp}/out.csv", "noise level 1e-170 is too small: ||e|| rounds to 0"),
     ("recovery-experiment --n 6 --m 5 --s 2 --seed 0 --out {tmp}/out.csv",
      "RIP check failed: delta_4 = 1.452362 >= 1.0"),
-    # ||e|| itself overflows at 1e160; at 1e154 it is finite but the gain or error is not.
+    # ||e|| itself overflows at 1e160; at 1e154 (1.2e154 for the recovery net) it
+    # is finite but the gain or error is not.
     ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e160 "
      "--seed 1 --out {tmp}/out.csv", "noise level 1e+160 is too large: the gain overflows"),
     ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 0.1,1e154 "
      "--seed 1 --out {tmp}/out.csv", "noise level 1e+154 is too large: the gain overflows"),
     ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 1e160",
      "noise level 1e+160 is too large: the error overflows"),
-    ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 0.1,1e154",
-     "noise level 1e+154 is too large: the error overflows"),
+    ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 0.1,1.2e154",
+     "noise level 1.2e+154 is too large: the error overflows"),
     ("uat-negative --w 1e200,1 --out {tmp}/out.csv", "slope 1e+200 is too large: 1 + w^2 overflows"),
+    # A draw shorter than 1e308 / 1.8e308 overflows when scaled onto the sphere.
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e308 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 1e+308 is too large: the noise draw overflows"),
 ]
 
 
@@ -573,14 +577,30 @@ class TestRecoveryDefaults:
         argv = ["recovery-experiment", "--n", "6", "--m", "4", "--seed", str(seed)]
         assert run(argv + ["--save-net", str(net_path), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert " learning_rate=0.0030000000000000001 steps=1500 " in lines[0]
+        assert " learning_rate=0.0030000000000000001 steps=1500 restarts=1 " in lines[0]
         assert " optimizer=adam rip_delta=" in lines[0]
         exact = [line.split(",") for line in lines[2:] if line.startswith("exact,")]
         assert len(exact) == 12
         assert max(float(cells[5]) / float(cells[2]) for cells in exact) <= 0.2
+        # At s = 1 every exact row is a multiple of an anchor, which the net meets.
+        assert max(float(cells[5]) / float(cells[2]) for cells in exact) <= 1e-12
         net = load_net(net_path)
         probe = network.check_positive_homogeneity(net, net.input_dim, network.ProbeConfig(seed=seed))
         assert probe.max_defect <= 1e-12
+
+
+def test_more_anchors_than_output_weights(tmp_path, capsys):
+    # 72 anchors against 8 output weights and a bias: the anchors are met in
+    # least squares. Solving with the singular F_a M^-1 F_a^T instead of its
+    # pseudo-inverse puts an exact row off by about 40.
+    out = tmp_path / "rec.csv"
+    argv = "recovery-experiment --n 6 --m 5 --s 2 --steps 300 --seed 48 --width 8 --out".split()
+    assert run(argv + [str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 1 + 12 + 8 + 24
+    assert np.isfinite([[float(cell) for cell in cells[2:]] for cells in rows]).all()
+    assert max(float(cells[5]) / float(cells[2]) for cells in rows if cells[0] == "exact") <= 2.0
 
 
 class TestParserReuse:

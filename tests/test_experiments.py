@@ -187,14 +187,18 @@ class TestRecoveryExperiment:
 
 def recovery_rows_reference(net, a, s, seed, levels, trials):
     """The recovery table one point at a time: one evaluate call per row and
-    one noise draw per trial, from the same seeded generators."""
+    one noise draw per trial, from the same seeded generators. Returns the
+    rows and the reconstructions net(y), one per row."""
     m, n = a.shape
-    rows = [("zero", 0, 0.0, 0.0, 0.0, float(np.linalg.norm(evaluate(net, np.zeros(m)))))]
+    recons = []
 
     def row(case, idx, x, level, y):
         tail = float(np.sort(np.abs(x))[::-1][s:].sum())
-        err = float(np.linalg.norm(evaluate(net, y) - x))
+        recons.append(evaluate(net, y))
+        err = float(np.linalg.norm(recons[-1] - x))
         return (case, idx, float(np.linalg.norm(x)), tail, level, err)
+
+    rows = [row("zero", 0, np.zeros(n), 0.0, np.zeros(m))]
 
     if s == 1:
         exact = []
@@ -221,19 +225,31 @@ def recovery_rows_reference(net, a, s, seed, levels, trials):
             e = direction * (level / float(np.linalg.norm(direction)))
             rows.append(row("noisy", idx, x, level, a @ x + e))
             idx += 1
-    return rows
+    return rows, np.array(recons)
 
 
 class TestBatchedRowsMatchPerPoint:
     @pytest.mark.parametrize("s, m, seed", [(1, 4, 552), (2, 5, 48)])
-    def test_recovery_rows(self, s, m, seed):
+    def test_recovery_rows(self, monkeypatch, s, m, seed):
+        batched = []
+
+        def recording_evaluate(net, y):
+            batched.append(evaluate(net, y))
+            return batched[-1]
+
+        monkeypatch.setattr(experiments, "evaluate", recording_evaluate)
         fit = FitConfig(width=16, learning_rate=0.4, steps=100, restarts=1, seed=seed)
         levels = [1e-3, 1e-2, 1e-1]
         a, net, _, rows = recovery_experiment(6, m, s, fit, levels, trials=15, densify_points=32)
-        want = recovery_rows_reference(net, a, s, seed, levels, 15)
+        want, want_recons = recovery_rows_reference(net, a, s, seed, levels, 15)
         assert len(rows) == len(want) == 1 + 12 + 15 + 45
         assert [r[:5] for r in rows] == [w[:5] for w in want]
-        np.testing.assert_allclose([r[5] for r in rows], [w[5] for w in want], rtol=1e-12, atol=0)
+        gaps = np.linalg.norm(np.vstack(batched) - want_recons, axis=1)
+        assert np.all(gaps <= 1e-12 * np.linalg.norm(want_recons, axis=1))
+        # At s = 1 the exact rows are the anchors, met to rounding: their
+        # errors are compared through net(y) above.
+        kept = [k for k, r in enumerate(rows) if not (s == 1 and r[0] == "exact")]
+        np.testing.assert_allclose([rows[k][5] for k in kept], [want[k][5] for k in kept], rtol=1e-12, atol=0)
 
     def test_max_signed_basis_error(self, rng):
         for m, n in ((2, 4), (4, 6), (3, 9)):

@@ -698,18 +698,72 @@ class TestInverseRecovery:
     @pytest.mark.parametrize("seed", [552, 31])
     def test_single_lift_matches_stacked_per_coordinate_lifts(self, monkeypatch, seed):
         fits = []
+        interpolate = homogenize._interpolate_anchors
 
-        def recording_fit(*args, **kwargs):
-            net, mse = fit_regression(*args, **kwargs)
-            fits.append(net)
-            return net, mse
+        def recording_correction(*args):
+            fits.append(interpolate(*args))
+            return fits[-1]
 
-        monkeypatch.setattr(homogenize, "fit_regression", recording_fit)
+        monkeypatch.setattr(homogenize, "_interpolate_anchors", recording_correction)
         a = gaussian_matrix(np.random.default_rng([seed, 0]), 4, 6)
         fit = FitConfig(width=16, learning_rate=0.4, steps=200, restarts=2, seed=seed, target_mse=2e-5)
         net = build_inverse_recovery_net(a, cycled_signed_basis(6, 60), fit, densify_points=96)
         assert len(fits) == 6
         assert serialize(net) == serialize(stacked_lifts_reference(fits))
+
+
+class TestAnchorInterpolation:
+    """Each coordinate's output row and bias are moved, as little as the
+    training rows' features allow, so that the fit meets every anchor."""
+
+    @staticmethod
+    def build(monkeypatch, seed):
+        """A cheap s = 1 recovery net at ``seed``, its anchors and every
+        coordinate's (fit, corrected fit, rows, counts, anchors, values)."""
+        calls = []
+        interpolate = homogenize._interpolate_anchors
+
+        def recording_correction(net, *args):
+            calls.append((net, interpolate(net, *args), *args))
+            return calls[-1][1]
+
+        monkeypatch.setattr(homogenize, "_interpolate_anchors", recording_correction)
+        a = gaussian_matrix(np.random.default_rng([seed, 0]), 4, 6)
+        fit = FitConfig(width=16, learning_rate=3e-3, steps=200, restarts=1, seed=seed, optimizer="adam")
+        signals = cycled_signed_basis(6, 60)
+        net = build_inverse_recovery_net(a, signals, fit, densify_points=96)
+        scale = np.abs(signals @ a.T).sum(axis=1, keepdims=True)
+        return net, (signals @ a.T) / scale, signals / scale, calls
+
+    @pytest.mark.parametrize("seed", [31, 552, 977, 7, 2718])
+    def test_lifted_net_meets_every_anchor(self, monkeypatch, seed):
+        net, dirs, vals, calls = self.build(monkeypatch, seed)
+        assert len(calls) == 6
+        missed = [np.max(np.abs(evaluate(fitted, dirs)[:, 0] - vals[:, j])) for j, (fitted, *_) in enumerate(calls)]
+        assert max(missed) > 1e-3  # 200 steps alone miss the anchors
+        assert np.max(np.abs(evaluate(net, dirs) - vals)) <= 1e-12 * np.max(np.abs(vals))
+
+    def test_change_is_the_least_in_the_training_metric(self, monkeypatch):
+        # The stationarity condition of min Delta^T M Delta subject to
+        # F_a Delta = -r: M Delta lies in the row space of F_a.
+        *_, calls = self.build(monkeypatch, 31)
+        for fitted, fixed, rows, counts, anchors, values in calls:
+            (hidden, out), (_, new_out) = fitted.layers, fixed.layers
+            assert new_out.weights.shape == out.weights.shape and fixed.layers[0] is hidden
+            # M is taken over the fit's 60 + 96 training rows: 12 distinct signals, 96 extra points.
+            assert len(rows) == 12 + 96 and counts.sum() == 60 + 96
+
+            def features(x):
+                return np.hstack([np.maximum(x @ hidden.weights.T + hidden.bias, 0.0), np.ones((len(x), 1))])
+
+            f, f_a = features(rows), features(anchors)
+            gram = (f * counts).T @ f
+            metric = gram + 1e-3 * np.trace(gram) / len(gram) * np.eye(len(gram))
+            delta = np.append(new_out.weights[0] - out.weights[0], new_out.bias - out.bias)
+            pushed = metric @ delta
+            coef, *_ = np.linalg.lstsq(f_a.T, pushed, rcond=None)
+            assert np.linalg.norm(f_a.T @ coef - pushed) <= 1e-10 * np.linalg.norm(pushed)
+            assert np.max(np.abs(f_a @ (np.append(out.weights[0], out.bias) + delta) - values)) <= 1e-12
 
 
 def stacked_lifts_reference(fits):

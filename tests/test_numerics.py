@@ -203,3 +203,12 @@ class TestSphereNoise:
     def test_rejected(self, levels, trials, message):
         with pytest.raises(ValueError, match=message):
             sphere_noise(np.random.default_rng(0), levels, trials, 3)
+
+    def test_level_whose_draw_overflows_rejected(self):
+        # Some of 20 draws in R^2 are shorter than 1e308 / 1.8e308; at 1e307
+        # every row keeps the bits of the plain scaling.
+        with pytest.raises(ValueError, match=r"noise level 1e\+308 is too large: the noise draw overflows"):
+            sphere_noise(np.random.default_rng(1), [0.1, 1e308], 20, 2)
+        radii, e = sphere_noise(np.random.default_rng(1), [0.1, 1e307], 20, 2)
+        draw = np.random.default_rng(1).standard_normal(e.shape)
+        assert np.array_equal(e, draw * (radii / row_norms(draw))[:, None])
