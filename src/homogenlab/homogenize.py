@@ -4,7 +4,9 @@ full inverse-recovery pipeline built on it.
 ``homogenize_one_layer`` turns any (possibly biased) one-hidden-layer relu
 network g into a bias-free two-hidden-layer relu network computing
 ``||x||_1 * g(x / ||x||_1)`` (and 0 at 0), which is scale invariant by
-construction. The pipeline samples an inverse map on the l1 sphere of the
+construction. g's output bias becomes one more lifted unit, the ||x||_1 row,
+and every lifted unit joins output j's block only where its weight there is
+nonzero. The pipeline samples an inverse map on the l1 sphere of the
 measurement space, densifies it with a Lipschitz inf-extension, fits a
 one-hidden-layer net per output coordinate, moves each fit's output layer
 as little as possible so that it meets the sampled (anchor) values exactly,
@@ -88,10 +90,11 @@ def homogenize_one_layer(g: NetworkSpec) -> NetworkSpec:
     x != 0 and f(0) = 0.
 
     Structure: first hidden layer [I; -I] of width 2m; per output coordinate j
-    a second hidden block holding the lifted hidden units with a nonzero
-    weight in row j of g's output layer, in order, plus one row computing
-    ||x||_1; the output weights of block j are that row's nonzero weights
-    followed by g's output bias j. A dense g gets p blocks of width k+1.
+    a second hidden block holding the lifted units with a nonzero weight in
+    row j of [W2 | b2]: g's hidden units in order, then one row computing
+    ||x||_1, which carries g's output bias j. The output weights of block j
+    are those nonzero weights. A dense g gets p blocks of width k+1 when every
+    output bias is nonzero.
     """
     if g.depth != 1:
         raise ValueError(f"expected exactly one hidden layer, got depth {g.depth}")
@@ -110,8 +113,7 @@ def homogenize_one_layer(g: NetworkSpec) -> NetworkSpec:
     # Applied to (relu(x); relu(-x)) these rows yield (W1 x + ||x||_1 b1; ||x||_1).
     rows = np.vstack([np.hstack([w1 + b1[:, None], -w1 + b1[:, None]]), np.ones((1, 2 * m))])
     out_weights = np.hstack([w2, b2[:, None]])  # (p, k + 1)
-    keep = np.hstack([w2 != 0, np.ones((p, 1), dtype=bool)])
-    out_idx, unit_idx = np.nonzero(keep)  # row-major: block j, norm row last
+    out_idx, unit_idx = np.nonzero(out_weights)  # row-major: block j, norm row last
     final = np.zeros((p, out_idx.size))
     final[out_idx, np.arange(out_idx.size)] = out_weights[out_idx, unit_idx]
     return unbiased_relu_net([first, rows[unit_idx], final])

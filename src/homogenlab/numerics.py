@@ -8,12 +8,16 @@ and out-of-range parameters raise ``ValueError``.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 # Singular values below RANK_TOLERANCE * sigma_max count as zero for rank
 # decisions.
 RANK_TOLERANCE = 1e-12
+
+# Below this l2 norm a sum of squares is subnormal or 0.
+_SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -80,9 +84,21 @@ def numerical_rank(m) -> int:
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
-    """l2 norm of every row of a 2-D array, bit for bit ``np.linalg.norm`` of
-    that row: each stacked (1, d) @ (d, 1) product runs the same dot kernel."""
-    return np.sqrt((m[:, None, :] @ m[:, :, None]).ravel())
+    """l2 norm of every row of a 2-D array. Where the sum of squares is a
+    normal float it is bit for bit ``np.linalg.norm`` of that row: each stacked
+    (1, d) @ (d, 1) product runs the same dot kernel. A nonzero finite row
+    whose squares overflow, or sum to a subnormal or 0, is measured again
+    divided by its largest |entry|."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((m[:, None, :] @ m[:, :, None]).ravel())
+        redo = np.flatnonzero(~((norms >= _SQRT_TINY) & (norms < math.inf)))
+        if redo.size:
+            scale = np.abs(m[redo]).max(axis=1, initial=0.0)
+            ok = (scale > 0) & (scale < math.inf)
+            redo, scale = redo[ok], scale[ok]
+            unit = m[redo] / scale[:, None]
+            norms[redo] = scale * np.sqrt((unit[:, None, :] @ unit[:, :, None]).ravel())
+    return norms
 
 
 def sphere_noise(rng: np.random.Generator, levels, trials: int, dim: int):

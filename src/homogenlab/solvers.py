@@ -82,6 +82,12 @@ class ProblemSpec:
         a, y = map(read_only_copy, check_measurement(self.a, self.y))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y", y)
+        for name, v in (("measurement matrix", a), ("measurement", y)):
+            with np.errstate(over="ignore"):
+                squares = np.vdot(v, v)
+            if v.any() and not 0 < squares < math.inf:  # the iteration would leave the float range
+                size, fault = ("large", "overflows") if squares else ("small", "underflows to 0")
+                raise ValueError(f"{name} is too {size}: its sum of squares {fault}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         t = float(self.parameter)
@@ -629,18 +635,23 @@ def robustness_scan(
     ||f(Ax + e) - f(Ax)||_2 / ||e||_2. Deterministic given the seed.
 
     ``f`` maps a batch of measurements to one output row each, like the map
-    of ``check_positive_homogeneity``; it is called through ``map_rows``."""
+    of ``check_positive_homogeneity``; it is called through ``map_rows``. A
+    level at which some y + e rounds to y is refused before any call: its
+    ratio would measure rounding, not gain."""
     a, x = check_signal(a, x)
     radii, e = sphere_noise(np.random.default_rng(seed), noise_levels, trials, a.shape[0])
+    y = a @ x
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        norm_e = row_norms(e)
-        if not norm_e.all():  # the squared entries underflow
-            raise ValueError(f"noise level {radii[norm_e.argmin()]:g} is too small: ||e|| rounds to 0")
-        y = a @ x
-        base = map_rows(f, y[None, :])
-        gains = row_norms(map_rows(f, y + e) - base) / norm_e
-    finite = np.isfinite(norm_e) & np.isfinite(gains)
-    if not finite.all():  # a squared entry or the map overflows
+        # f(y) is row 0 of the same map call as the y + e rows: a one-row
+        # call may round differently, and ||e|| would scale that up as gain.
+        points = np.vstack([y, y + e])
+        moved = (points[1:] != y).any(axis=1)
+        if not moved.all():
+            raise ValueError(f"noise level {radii[moved.argmin()]:g} is too small: y + e rounds to y")
+        images = map_rows(f, points)
+        gains = row_norms(images[1:] - images[0]) / row_norms(e)
+    finite = np.isfinite(gains)
+    if not finite.all():  # the map or the gap overflows
         raise ValueError(f"noise level {radii[finite.argmin()]:g} is too large: the gain overflows")
     return [(r, i % trials, g) for i, (r, g) in enumerate(zip(radii.tolist(), gains.tolist()))]
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -238,24 +239,29 @@ REJECTED_ARGUMENTS = [
     ("rip --in {tmp}/a.csv --seed 3 --order 2 --out {tmp}/out.csv", "--in excludes --seed"),
     ("solve --variant bpdn --in {tmp}/a{nl}b.csv --y 1,0,0 --lam 0.1 --out {tmp}/out.csv",
      "cannot record \"in='{tmp}/a\\nb.csv'\" on one line: the value holds a line break"),
-    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e-170 "
-     "--seed 1 --out {tmp}/out.csv", "noise level 1e-170 is too small: ||e|| rounds to 0"),
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,1,0,0,0,0,0,0,0,0,0,0 --levels 1e-170 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 1e-170 is too small: y + e rounds to y"),
     ("recovery-experiment --n 6 --m 5 --s 2 --seed 0 --out {tmp}/out.csv",
      "RIP check failed: delta_4 = 1.452362 >= 1.0"),
-    # ||e|| itself overflows at 1e160; at 1e154 (1.2e154 for the recovery net) it
-    # is finite but the gain or error is not.
-    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e160 "
-     "--seed 1 --out {tmp}/out.csv", "noise level 1e+160 is too large: the gain overflows"),
-    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 0.1,1e154 "
-     "--seed 1 --out {tmp}/out.csv", "noise level 1e+154 is too large: the gain overflows"),
-    ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 1e160",
-     "noise level 1e+160 is too large: the error overflows"),
-    ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 0.1,1.2e154",
-     "noise level 1.2e+154 is too large: the error overflows"),
+    # The draw fits, but the gain of a trial or the noisy-row error leaves the float range.
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 6e307 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 6e+307 is too large: the gain overflows"),
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,1,0,0,0,0,0,0,0,0,0,0 --levels 0.1,1e-20 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 1e-20 is too small: y + e rounds to y"),
+    ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 1e308",
+     "noise level 1e+308 is too large: the error overflows"),
+    ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 0.1,1.7e308",
+     "noise level 1.7e+308 is too large: the error overflows"),
     ("uat-negative --w 1e200,1 --out {tmp}/out.csv", "slope 1e+200 is too large: 1 + w^2 overflows"),
     # A draw shorter than 1e308 / 1.8e308 overflows when scaled onto the sphere.
     ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e308 "
      "--seed 1 --out {tmp}/out.csv", "noise level 1e+308 is too large: the noise draw overflows"),
+    # With squares of y out of the float range, bpdn would iterate on nan to its
+    # cap and qcbp would stop at an infeasible z = 0.
+    ("solve --variant bpdn --in {tmp}/a.csv --y 1e200,-1.2,0.7 --lam 0.1 --out {tmp}/out.csv",
+     "measurement is too large: its sum of squares overflows"),
+    ("solve --variant qcbp --in {tmp}/a.csv --y 3e-171,-1.2e-170,7e-171 --eta 5e-172 --out {tmp}/out.csv",
+     "measurement is too small: its sum of squares underflows to 0"),
 ]
 
 
@@ -286,6 +292,29 @@ def test_rejected_argument_names_the_rule(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e160 --seed 1",
+        "robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 0.1,1e154 "
+        "--seed 1",
+        "recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --noise 1e160",
+        "recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --noise 0.1,1.2e154",
+    ],
+    ids=["robustness-1e160", "robustness-1e154", "recovery-1e160", "recovery-1.2e154"],
+)
+def test_noise_whose_squares_overflow_gives_finite_rows(tmp_path, capsys, argv):
+    # ||e|| and the errors are finite floats, though their squares are not.
+    write_matrix_csv(tmp_path / "wide.csv", np.eye(2, 12), "test", {})
+    relu = unbiased_relu_net([np.ones((3, 2)), np.ones((1, 3))])
+    save_net(tmp_path / "converted.json", network.convert_relu_to_activation(relu, 2.0, 0.5))
+    out = tmp_path / "out.csv"
+    assert run(argv.format(tmp=tmp_path).split() + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
 
 
 @pytest.mark.parametrize(

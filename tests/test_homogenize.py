@@ -111,6 +111,28 @@ class TestHomogenizeOneLayer:
         np.testing.assert_allclose(evaluate(f, x), want, rtol=0, atol=1e-9 * (1 + l1.max()))
         np.testing.assert_allclose(evaluate(f, x)[:, 1], l1[:, 0] * g.layers[1].bias[1], rtol=1e-12)
 
+    @pytest.mark.parametrize("b2", [None, [0.5, 0.0, -1.0]], ids=["bias-free", "one-zero-bias"])
+    def test_norm_row_only_where_the_output_bias_is_nonzero(self, rng, b2):
+        m, k, p = 3, 5, 3
+        hidden = LayerSpec(rng.standard_normal((k, m)), rng.standard_normal(k))
+        g = NetworkSpec((hidden, LayerSpec(rng.standard_normal((p, k)), b2)), ActivationSpec.relu(), unbiased=False)
+        f = homogenize_one_layer(g)
+        assert f.hidden_widths == (2 * m, p * k + np.count_nonzero(b2 or 0))
+        x = rng.standard_normal((200, m))
+        l1 = np.abs(x).sum(axis=1, keepdims=True)
+        want = l1 * evaluate(g, x / l1)
+        np.testing.assert_allclose(evaluate(f, x), want, rtol=0, atol=1e-9 * (1 + l1.max()))
+
+    def test_zero_map_keeps_no_unit_and_is_refused(self):
+        # No lifted unit has a nonzero weight, and the network file holds no empty layer.
+        g = NetworkSpec(
+            (LayerSpec(np.ones((4, 2)), np.ones(4)), LayerSpec(np.zeros((2, 4)), np.zeros(2))),
+            ActivationSpec.relu(),
+            unbiased=False,
+        )
+        with pytest.raises(ValueError, match=re.escape("at least one row and one column, got shape (0, 4)")):
+            homogenize_one_layer(g)
+
     def test_scaling_exact(self, rng):
         g = biased_one_layer(rng, 3, 5)
         f = homogenize_one_layer(g)
@@ -602,6 +624,34 @@ class TestStackedFits:
             hidden, out = net.layers
             assert_fit_equal(fitted, ((hidden.weights, hidden.bias, out.weights, out.bias), mse))
             assert curve == solo_curve
+
+    def test_restart_in_a_later_stack_skipped_once_the_target_is_met(self, rng, monkeypatch):
+        u, t = self.data(rng, 1)
+        stacks, fit_stack = [], homogenize._fit_stack
+
+        def recording_stack(*args):
+            stacks.append(args[5])  # the (width, seed, restart) members
+            return fit_stack(*args)
+
+        monkeypatch.setattr(homogenize, "_fit_stack", recording_stack)
+        # 40 rows x width 256 fills more than half of STACK_BUDGET, so every
+        # restart trains in a stack of its own. Seed 4 runs both restarts;
+        # seed 3 meets the target in restart 0, so its restart 1, the last
+        # one pending, never runs.
+        assert 2 * len(u) * 256 > homogenize.STACK_BUDGET >= len(u) * 256
+        configs = [
+            FitConfig(width=256, learning_rate=0.3, steps=300, restarts=2, seed=s, target_mse=3e-3)
+            for s in (4, 3)
+        ]
+        curves = [[] for _ in configs]
+        fits = fit_regressions(u, t, configs, curves=curves)
+        assert stacks == [[(256, 4, 0)], [(256, 4, 1)], [(256, 3, 0)]]
+        assert [sorted({row[0] for row in curve}) for curve in curves] == [[0, 1], [0]]
+        assert fits[1][1] <= 3e-3 < fits[0][1]
+        for cfg, fitted, curve in zip(configs, fits, curves):
+            weights, ref_mse, ref_curve = reference_fit(u, t, cfg, False)
+            assert_fit_equal(fitted, (weights, ref_mse))
+            assert np.array_equal(np.array(curve), np.array(ref_curve))
 
     @pytest.mark.parametrize(
         "change",

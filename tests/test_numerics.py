@@ -47,6 +47,22 @@ class TestNorms:
         m = rng.standard_normal((4, 6))
         assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
 
+    def test_row_norms_match_linalg_norm_bitwise(self, rng):
+        m = rng.standard_normal((50, 7)) * 10.0 ** rng.integers(-150, 150, size=(50, 1))
+        assert np.array_equal(row_norms(m), [np.linalg.norm(row) for row in m])
+
+    # The squares overflow (1e160, 1e300), underflow to 0 (1e-170) or sum to a
+    # subnormal that keeps only a few digits (1e-160).
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e300])
+    def test_row_norms_outside_the_range_of_squares(self, rng, scale):
+        m = rng.standard_normal((20, 5))
+        np.testing.assert_allclose(row_norms(scale * m), scale * row_norms(m), rtol=1e-15, atol=0)
+
+    def test_row_norms_keep_zero_and_non_finite_rows(self):
+        out = row_norms(np.array([[0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1.5e308, 1.5e308]]))
+        assert out[0] == 0.0 and out[1] == np.inf and np.isnan(out[2]) and out[3] == np.inf
+        assert np.array_equal(row_norms(np.zeros((3, 0))), np.zeros(3))
+
 
 class TestRankTruncate:
     def test_diagonal(self):

@@ -98,6 +98,25 @@ class TestProblemSpec:
         ProblemSpec("qcbp", rank_deficient, [1.0, 0.0, 0.0], 0.97)
         ProblemSpec("qcbp", rank_deficient, [0.1, 0.2, 0.3], 0.0)
 
+    @pytest.mark.parametrize(
+        "a, y, message",
+        [
+            (np.eye(2), [1e200, 1.0], "measurement is too large: its sum of squares overflows"),
+            (np.eye(2), [3e-171, 0.0], "measurement is too small: its sum of squares underflows to 0"),
+            (1e160 * np.eye(2), [1.0, 0.0], "measurement matrix is too large: its sum of squares overflows"),
+            (1e-170 * np.eye(2), [1.0, 0.0], "measurement matrix is too small: its sum of squares underflows to 0"),
+        ],
+        ids=["y-large", "y-small", "a-large", "a-small"],
+    )
+    def test_squares_outside_the_float_range_rejected(self, a, y, message):
+        for variant in solvers.VARIANTS:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ProblemSpec(variant, a, y, 1e-171)
+
+    def test_zero_measurement_kept(self):
+        report = solve(ProblemSpec("qcbp", np.eye(2), [0.0, 0.0], 0.0))
+        assert report.converged and np.array_equal(report.solution, [0.0, 0.0])
+
     def test_holds_read_only_copies(self, rng):
         a, y = rng.standard_normal((3, 5)), rng.standard_normal(3)
         a_before, y_before = a.copy(), y.copy()
@@ -955,18 +974,30 @@ class TestRobustnessScan:
         def never(y):
             raise AssertionError("the map ran")
 
-        # The squared entries of the noise underflow, so ||e|| is 0 and every
-        # ratio would be nan; at 1e-160 they are subnormal and the norm is not.
-        with pytest.raises(ValueError, match="noise level 1e-170 is too small"):
-            robustness_scan(never, np.eye(2), np.ones(2), [1e-3, 1e-170], 3, seed=1)
-        rows = robustness_scan(lambda y: y, np.eye(2), np.ones(2), [1e-160], 3, seed=1)
-        assert all(math.isfinite(ratio) for _, _, ratio in rows)
+        # y + e rounds to y, so every ratio would read 0, not the identity's gain 1.
+        for level in (1e-170, 1e-160, 1e-20):
+            with pytest.raises(ValueError, match=f"noise level {level:g} is too small: y \\+ e rounds to y"):
+                robustness_scan(never, np.eye(2), np.ones(2), [1e-3, level], 3, seed=1)
 
-    def test_overflowing_norm_rejected_when_the_gain_rounds_to_zero(self):
-        # At 1e160 ||e|| overflows; the gap of a map that shrinks by 1e-10 stays
-        # finite, so the gain would read 0 instead of 1e-10.
-        with pytest.raises(ValueError, match=r"noise level 1e\+160 is too large"):
-            robustness_scan(lambda y: 1e-10 * y, np.eye(2), np.ones(2), [1e-3, 1e160], 3, seed=1)
+    def test_underflowing_squares_keep_the_gain(self):
+        # Near y = 0 a level of 1e-170 moves y, though the squares of e underflow.
+        rows = robustness_scan(lambda y: 3.0 * y, np.eye(2), np.zeros(2), [1e-170], 3, seed=1)
+        np.testing.assert_allclose([ratio for _, _, ratio in rows], 3.0, rtol=1e-15)
+
+    def test_overflowing_squares_keep_the_gain(self):
+        # At 1e160 the squares of e overflow; ||e|| and the gap of a map that
+        # shrinks by 1e-10 do not.
+        rows = robustness_scan(lambda y: 1e-10 * y, np.eye(2), np.ones(2), [1e160], 3, seed=1)
+        np.testing.assert_allclose([ratio for _, _, ratio in rows], 1e-10, rtol=1e-15)
+
+    def test_one_map_call_for_y_and_its_perturbations(self):
+        # A map whose one-row calls round differently from its batches: f(y)
+        # comes from the batch, so a gain below its rounding is not scaled up.
+        def chunk_dependent(y):
+            return y + (1e-14 if len(y) == 1 else 0.0)
+
+        rows = robustness_scan(chunk_dependent, np.eye(3), np.ones(3), [1e-12], 4, seed=2)
+        np.testing.assert_allclose([ratio for _, _, ratio in rows], 1.0, rtol=1e-3)
 
     def test_deterministic(self, rng):
         rows1 = robustness_scan(lambda y: y, np.eye(3), np.ones(3), [0.5], 4, seed=12)
