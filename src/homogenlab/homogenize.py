@@ -94,7 +94,8 @@ def homogenize_one_layer(g: NetworkSpec) -> NetworkSpec:
     row j of [W2 | b2]: g's hidden units in order, then one row computing
     ||x||_1, which carries g's output bias j. The output weights of block j
     are those nonzero weights. A dense g gets p blocks of width k+1 when every
-    output bias is nonzero.
+    output bias is nonzero. A g whose [W2 | b2] is all zero lifts to the zero
+    map with one norm row of weight 0.
     """
     if g.depth != 1:
         raise ValueError(f"expected exactly one hidden layer, got depth {g.depth}")
@@ -114,6 +115,8 @@ def homogenize_one_layer(g: NetworkSpec) -> NetworkSpec:
     rows = np.vstack([np.hstack([w1 + b1[:, None], -w1 + b1[:, None]]), np.ones((1, 2 * m))])
     out_weights = np.hstack([w2, b2[:, None]])  # (p, k + 1)
     out_idx, unit_idx = np.nonzero(out_weights)  # row-major: block j, norm row last
+    if not out_idx.size:  # g is the zero map: one norm row of weight 0 keeps the layer
+        out_idx, unit_idx = np.zeros(1, dtype=int), np.full(1, k)
     final = np.zeros((p, out_idx.size))
     final[out_idx, np.arange(out_idx.size)] = out_weights[out_idx, unit_idx]
     return unbiased_relu_net([first, rows[unit_idx], final])

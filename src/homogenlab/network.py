@@ -89,8 +89,6 @@ class LayerSpec:
 
     def __post_init__(self):
         w = read_only_copy(as_matrix(self.weights, "weights"))
-        if not w.size:  # the network file cannot hold it
-            raise ValueError(f"weights need at least one row and one column, got shape {w.shape}")
         object.__setattr__(self, "weights", w)
         if self.bias is not None:
             b = as_vector(self.bias, "bias")

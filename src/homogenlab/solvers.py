@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import DEFAULT_SUPPORT_CAP, support_chunks, support_count
-from .network import map_rows
+from .network import PROBE_CHUNK, map_rows
 from .numerics import (
     RANK_TOLERANCE,
     as_matrix,
@@ -636,20 +636,25 @@ def robustness_scan(
 
     ``f`` maps a batch of measurements to one output row each, like the map
     of ``check_positive_homogeneity``; it is called through ``map_rows``. A
-    level at which some y + e rounds to y is refused before any call: its
-    ratio would measure rounding, not gain."""
+    level at which some entry of e is lost in y + e is refused before any
+    call: its ratio would measure rounding, not gain."""
     a, x = check_signal(a, x)
     radii, e = sphere_noise(np.random.default_rng(seed), noise_levels, trials, a.shape[0])
-    y = a @ x
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        # f(y) is row 0 of the same map call as the y + e rows: a one-row
-        # call may round differently, and ||e|| would scale that up as gain.
-        points = np.vstack([y, y + e])
-        moved = (points[1:] != y).any(axis=1)
-        if not moved.all():
-            raise ValueError(f"noise level {radii[moved.argmin()]:g} is too small: y + e rounds to y")
-        images = map_rows(f, points)
-        gains = row_norms(images[1:] - images[0]) / row_norms(e)
+        y = a @ x
+        if not np.isfinite(y).all():
+            raise ValueError("the measurement Ax overflows")
+        moved = y + e
+        lost = ((moved == y) & (e != 0)).any(axis=1)
+        if lost.any():
+            raise ValueError(f"noise level {radii[lost.argmax()]:g} is too small: an entry of e is lost in y + e")
+        # Every map_rows block evaluates its own copy of y first: a block of
+        # another size may round differently, and ||e|| would scale that up as gain.
+        per = PROBE_CHUNK - 1
+        images = map_rows(f, np.insert(moved, np.arange(0, len(e), per), y, axis=0))
+        heads = np.arange(len(images)) % PROBE_CHUNK == 0
+        gaps = images[~heads] - images[heads].repeat(per, axis=0)[: len(e)]
+        gains = row_norms(gaps) / row_norms(e)
     finite = np.isfinite(gains)
     if not finite.all():  # the map or the gap overflows
         raise ValueError(f"noise level {radii[finite.argmin()]:g} is too large: the gain overflows")

@@ -239,15 +239,15 @@ REJECTED_ARGUMENTS = [
     ("rip --in {tmp}/a.csv --seed 3 --order 2 --out {tmp}/out.csv", "--in excludes --seed"),
     ("solve --variant bpdn --in {tmp}/a{nl}b.csv --y 1,0,0 --lam 0.1 --out {tmp}/out.csv",
      "cannot record \"in='{tmp}/a\\nb.csv'\" on one line: the value holds a line break"),
-    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,1,0,0,0,0,0,0,0,0,0,0 --levels 1e-170 "
-     "--seed 1 --out {tmp}/out.csv", "noise level 1e-170 is too small: y + e rounds to y"),
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 1e-170 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 1e-170 is too small: an entry of e is lost in y + e"),
     ("recovery-experiment --n 6 --m 5 --s 2 --seed 0 --out {tmp}/out.csv",
      "RIP check failed: delta_4 = 1.452362 >= 1.0"),
     # The draw fits, but the gain of a trial or the noisy-row error leaves the float range.
     ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 6e307 "
      "--seed 1 --out {tmp}/out.csv", "noise level 6e+307 is too large: the gain overflows"),
-    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,1,0,0,0,0,0,0,0,0,0,0 --levels 0.1,1e-20 "
-     "--seed 1 --out {tmp}/out.csv", "noise level 1e-20 is too small: y + e rounds to y"),
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1,0,0,0,0,0,0,0,0,0,0,0 --levels 0.1,1e-20 "
+     "--seed 1 --out {tmp}/out.csv", "noise level 1e-20 is too small: an entry of e is lost in y + e"),
     ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 1e308",
      "noise level 1e+308 is too large: the error overflows"),
     ("recovery-experiment --n 6 --m 4 --seed 552 --steps 20 --out {tmp}/out.csv --noise 0.1,1.7e308",

@@ -25,6 +25,7 @@ from homogenlab.network import (
     NetworkSpec,
     ProbeConfig,
     check_positive_homogeneity,
+    deserialize,
     evaluate,
     serialize,
     unbiased_relu_net,
@@ -123,15 +124,18 @@ class TestHomogenizeOneLayer:
         want = l1 * evaluate(g, x / l1)
         np.testing.assert_allclose(evaluate(f, x), want, rtol=0, atol=1e-9 * (1 + l1.max()))
 
-    def test_zero_map_keeps_no_unit_and_is_refused(self):
-        # No lifted unit has a nonzero weight, and the network file holds no empty layer.
+    def test_zero_map_lifts_to_one_norm_row_of_weight_0(self, rng):
+        # No lifted unit has a nonzero weight; the one kept row leaves no layer
+        # empty, so the lift is a net the network file holds.
         g = NetworkSpec(
             (LayerSpec(np.ones((4, 2)), np.ones(4)), LayerSpec(np.zeros((2, 4)), np.zeros(2))),
             ActivationSpec.relu(),
             unbiased=False,
         )
-        with pytest.raises(ValueError, match=re.escape("at least one row and one column, got shape (0, 4)")):
-            homogenize_one_layer(g)
+        f = homogenize_one_layer(g)
+        assert f.hidden_widths == (4, 1)
+        assert serialize(deserialize(serialize(f))) == serialize(f)
+        assert not evaluate(f, rng.standard_normal((50, 2))).any()
 
     def test_scaling_exact(self, rng):
         g = biased_one_layer(rng, 3, 5)

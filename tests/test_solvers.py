@@ -974,10 +974,19 @@ class TestRobustnessScan:
         def never(y):
             raise AssertionError("the map ran")
 
-        # y + e rounds to y, so every ratio would read 0, not the identity's gain 1.
-        for level in (1e-170, 1e-160, 1e-20):
-            with pytest.raises(ValueError, match=f"noise level {level:g} is too small: y \\+ e rounds to y"):
-                robustness_scan(never, np.eye(2), np.ones(2), [1e-3, level], 3, seed=1)
+        # y + e rounds to y, so every ratio would read 0, not the identity's gain 1;
+        # with a zero entry in y, the other entry alone still loses e.
+        for y in (np.ones(2), np.array([1.0, 0.0])):
+            for level in (1e-170, 1e-160, 1e-20):
+                with pytest.raises(ValueError, match=f"noise level {level:g} is too small: an entry of e is lost in y"):
+                    robustness_scan(never, np.eye(2), y, [1e-3, level], 3, seed=1)
+
+    def test_overflowing_measurement_rejected_before_any_map(self):
+        def never(y):
+            raise AssertionError("the map ran")
+
+        with pytest.raises(ValueError, match="^the measurement Ax overflows$"):
+            robustness_scan(never, 2.0 * np.eye(2), [1e308, 0.0], [0.1], 3, seed=1)
 
     def test_underflowing_squares_keep_the_gain(self):
         # Near y = 0 a level of 1e-170 moves y, though the squares of e underflow.
@@ -990,13 +999,16 @@ class TestRobustnessScan:
         rows = robustness_scan(lambda y: 1e-10 * y, np.eye(2), np.ones(2), [1e160], 3, seed=1)
         np.testing.assert_allclose([ratio for _, _, ratio in rows], 1e-10, rtol=1e-15)
 
-    def test_one_map_call_for_y_and_its_perturbations(self):
-        # A map whose one-row calls round differently from its batches: f(y)
-        # comes from the batch, so a gain below its rounding is not scaled up.
+    @pytest.mark.parametrize("trials", [4, 63, 64, 130])
+    def test_every_block_holds_its_own_y(self, trials):
+        # A map whose rounding depends on the size of the block it is called on:
+        # each block's perturbations are compared with that block's f(y), so a
+        # gain below its rounding is not scaled up, whatever the last block holds.
         def chunk_dependent(y):
-            return y + (1e-14 if len(y) == 1 else 0.0)
+            return y + 1e-16 * len(y)
 
-        rows = robustness_scan(chunk_dependent, np.eye(3), np.ones(3), [1e-12], 4, seed=2)
+        rows = robustness_scan(chunk_dependent, np.eye(3), np.ones(3), [1e-12], trials, seed=2)
+        assert len(rows) == trials
         np.testing.assert_allclose([ratio for _, _, ratio in rows], 1.0, rtol=1e-3)
 
     def test_deterministic(self, rng):
@@ -1022,7 +1034,8 @@ class TestRobustnessScan:
             return evaluate(net, y)
 
         rows = robustness_scan(recording, a, x, levels, 70, seed=4)
-        assert max(sizes) == PROBE_CHUNK and sum(sizes) == 1 + 140
+        # Each block of the one map_rows pass starts with its own copy of y.
+        assert sizes == [PROBE_CHUNK, PROBE_CHUNK, 3 + 140 - 2 * PROBE_CHUNK]
         # One draw and one evaluate call per trial, from the same generator.
         gen = np.random.default_rng(4)
         y = a @ x
