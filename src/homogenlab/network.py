@@ -251,21 +251,19 @@ def check_positive_homogeneity(
 
 
 def map_rows(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """``f`` applied to the rows of an (N, d) array, called on blocks of at
-    most ``PROBE_CHUNK`` rows; returns (N, p). Each call must return one
-    output row per input row, as (rows, p) or, for scalars, (rows,); any
-    other shape raises ``ValueError``."""
+    """``f`` applied to the rows of an (N, d) array; returns (N, p). ``f`` is
+    called on blocks of exactly ``PROBE_CHUNK`` rows, the last one filled up
+    with copies of its last row, as a batch of another size may round
+    differently. Each call must return one output row per input row, as
+    (rows, p) or, for scalars, (rows,); any other shape raises ``ValueError``."""
+    padded = np.pad(points, [(0, -len(points) % PROBE_CHUNK), (0, 0)], mode="edge")
     out = []
-    for start in range(0, len(points), PROBE_CHUNK):
-        block = points[start : start + PROBE_CHUNK]
+    for block in padded.reshape(-1, PROBE_CHUNK, padded.shape[1]):
         rows = np.asarray(f(block), dtype=np.float64)
-        if rows.ndim not in (1, 2) or rows.shape[0] != len(block):
-            raise ValueError(
-                f"map returned shape {rows.shape} for an input batch of shape "
-                f"{block.shape}; expected {len(block)} output rows"
-            )
-        out.append(rows.reshape(len(block), -1))
-    return np.concatenate(out)
+        if rows.ndim not in (1, 2) or rows.shape[0] != PROBE_CHUNK:
+            raise ValueError(f"map returned shape {rows.shape} for an input batch of shape {block.shape}")
+        out.append(rows.reshape(PROBE_CHUNK, -1))
+    return np.concatenate(out)[: len(points)]
 
 
 def convert_relu_to_activation(net: NetworkSpec, alpha: float, beta: float) -> NetworkSpec:

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import DEFAULT_SUPPORT_CAP, support_chunks, support_count
-from .network import PROBE_CHUNK, map_rows
+from .network import map_rows
 from .numerics import (
     RANK_TOLERANCE,
     as_matrix,
@@ -544,10 +544,10 @@ def brute_force_sparse_fit(
 
 
 def _check_shrinkage(lam: float, step_bound: float) -> None:
-    if not 0 < step_bound < math.inf:
-        raise ValueError("step bound L must be a positive finite number")
     if not 0 <= lam < math.inf:
         raise ValueError("lambda must be a non-negative finite number")
+    if not (0 < step_bound < math.inf and max(1.0, lam) / float(step_bound) < math.inf):
+        raise ValueError(f"step bound L must be a positive finite number with finite 1/L and lambda/L, got {float(step_bound)!r}")
 
 
 def ista_run(a, y, lam: float, step_bound: float, iters: int) -> np.ndarray:
@@ -562,14 +562,14 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int) -> np.ndarray:
     _check_shrinkage(lam, step_bound)
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
-    x = np.zeros(a.shape[1])
-    trajectory = np.empty((iters + 1, x.size))
-    trajectory[0] = x
+    trajectory = np.zeros((iters + 1, a.shape[1]))
     threshold = lam / step_bound
     adot, atdot = a.dot, a.T.dot  # the bits of ``@`` at less cost, as in ``_pdhg``
-    for i in range(1, iters + 1):
-        x = _soft_threshold(x - atdot(adot(x) - y) / step_bound, threshold)
-        trajectory[i] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused
+        for i, x in enumerate(trajectory[:-1], 1):
+            trajectory[i] = _soft_threshold(x - atdot(adot(x) - y) / step_bound, threshold)
+            if not np.isfinite(trajectory[i]).all():
+                raise ValueError(f"ISTA step {i} leaves the float range")
     return trajectory
 
 
@@ -612,13 +612,16 @@ def lista_from_ista(a, lam: float, step_bound: float, depth: int) -> Lista:
 
 
 def lista_eval(net: Lista, y) -> np.ndarray:
-    """``net.depth`` shrinkage steps from zeros."""
+    """``net.depth`` shrinkage steps from zeros; a non-finite step is refused."""
     _, y = check_measurement(net.w2.T, y)
-    b = net.w2 @ y
     x = np.zeros(net.w1.shape[0])
     w1dot = net.w1.dot
-    for _ in range(net.depth):
-        x = _soft_threshold(w1dot(x) + b, net.threshold)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused
+        b = net.w2 @ y
+        for step in range(1, net.depth + 1):
+            x = _soft_threshold(w1dot(x) + b, net.threshold)
+            if not np.isfinite(x).all():
+                raise ValueError(f"LISTA step {step} leaves the float range")
     return x
 
 
@@ -635,9 +638,9 @@ def robustness_scan(
     ||f(Ax + e) - f(Ax)||_2 / ||e||_2. Deterministic given the seed.
 
     ``f`` maps a batch of measurements to one output row each, like the map
-    of ``check_positive_homogeneity``; it is called through ``map_rows``. A
-    level at which some entry of e is lost in y + e is refused before any
-    call: its ratio would measure rounding, not gain."""
+    of ``check_positive_homogeneity``; it is called through ``map_rows`` once,
+    on y and every y + e. A level at which some entry of e is lost in y + e is
+    refused before that call: its ratio would measure rounding, not gain."""
     a, x = check_signal(a, x)
     radii, e = sphere_noise(np.random.default_rng(seed), noise_levels, trials, a.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
@@ -648,13 +651,10 @@ def robustness_scan(
         lost = ((moved == y) & (e != 0)).any(axis=1)
         if lost.any():
             raise ValueError(f"noise level {radii[lost.argmax()]:g} is too small: an entry of e is lost in y + e")
-        # Every map_rows block evaluates its own copy of y first: a block of
-        # another size may round differently, and ||e|| would scale that up as gain.
-        per = PROBE_CHUNK - 1
-        images = map_rows(f, np.insert(moved, np.arange(0, len(e), per), y, axis=0))
-        heads = np.arange(len(images)) % PROBE_CHUNK == 0
-        gaps = images[~heads] - images[heads].repeat(per, axis=0)[: len(e)]
-        gains = row_norms(gaps) / row_norms(e)
+        images = map_rows(f, np.vstack([y, moved]))
+        if not np.isfinite(images[0]).all():
+            raise ValueError("the reconstruction f(Ax) overflows")
+        gains = row_norms(images[1:] - images[0]) / row_norms(e)
     finite = np.isfinite(gains)
     if not finite.all():  # the map or the gap overflows
         raise ValueError(f"noise level {radii[finite.argmin()]:g} is too large: the gain overflows")

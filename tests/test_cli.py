@@ -262,6 +262,18 @@ REJECTED_ARGUMENTS = [
      "measurement is too large: its sum of squares overflows"),
     ("solve --variant qcbp --in {tmp}/a.csv --y 3e-171,-1.2e-170,7e-171 --eta 5e-172 --out {tmp}/out.csv",
      "measurement is too small: its sum of squares underflows to 0"),
+    # 1/L or lambda/L overflows, or a shrinkage iterate leaves the float range.
+    ("ista --in {tmp}/a.csv --y 1,0,0 --lam 0.1 --iters 2 --step-bound 1e-320 --out {tmp}/out.csv",
+     "step bound L must be a positive finite number with finite 1/L and lambda/L, got 1e-320"),
+    ("lista --in {tmp}/a.csv --y 1,0,0 --lam 1e10 --depth 2 --step-bound 1e-300 --out {tmp}/out.csv",
+     "step bound L must be a positive finite number with finite 1/L and lambda/L, got 1e-300"),
+    ("ista --in {tmp}/a.csv --y 1,0,0 --lam 0.1 --iters 200 --step-bound 1e-3 --out {tmp}/out.csv",
+     "ISTA step 68 leaves the float range"),
+    ("lista --in {tmp}/a.csv --y 1,0,0 --lam 0.1 --depth 200 --step-bound 1e-3 --out {tmp}/out.csv",
+     "LISTA step 68 leaves the float range"),
+    # Ax and y + e are finite and keep e, but f(Ax) is not finite.
+    ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1e308,0,0,0,0,0,0,0,0,0,0,0 --levels 1e298 "
+     "--seed 1 --out {tmp}/out.csv", "the reconstruction f(Ax) overflows"),
 ]
 
 

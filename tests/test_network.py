@@ -244,21 +244,36 @@ class TestHomogeneityProbe:
 
     def test_map_sees_at_most_probe_chunk_rows(self, rng):
         net = random_unbiased_net(rng, [3, 8, 2])
-        sizes = []
+        blocks = []
 
         def recording(x):
-            sizes.append(len(x))
+            blocks.append(x.copy())
             return evaluate(net, x)
 
-        check_positive_homogeneity(recording, 3, ProbeConfig(seed=2, num_points=150, scales=(0.5, 2.0)))
-        assert max(sizes) == PROBE_CHUNK and sum(sizes) == 150 * 3
+        def mapped_rows(calls, count):
+            # Every call has PROBE_CHUNK rows; past the first ``count`` rows the
+            # last block holds copies of row ``count - 1`` only.
+            assert {len(block) for block in calls} == {PROBE_CHUNK}
+            rows = np.concatenate(calls)
+            assert len(rows) == -(-count // PROBE_CHUNK) * PROBE_CHUNK
+            assert (rows[count:] == rows[count - 1]).all()
+            return rows[:count]
+
+        points = np.random.default_rng(2).standard_normal((150, 3))
+        scales = (0.5, 2.0)
+        check_positive_homogeneity(recording, 3, ProbeConfig(seed=2, num_points=150, scales=scales))
+        # One map_rows call of three blocks per scale, the unscaled points first.
+        assert len(blocks) == 9
+        for k, lam in enumerate((1.0,) + scales):
+            assert np.array_equal(mapped_rows(blocks[3 * k : 3 * k + 3], 150), lam * points)
 
         # Conditioning maps its counted pairs only: distinct sampled pairs,
         # then every ambient pair.
-        sizes.clear()
+        blocks.clear()
         report = empirical_conditioning(recording, lambda g: np.eye(3)[g.integers(0, 2)], 100, "l2", seed=3)
         assert report.pairs_sampled < 100
-        assert max(sizes) == PROBE_CHUNK and sum(sizes) == 2 * report.pairs_sampled + 2 * 100
+        pairs = mapped_rows(blocks, 2 * report.pairs_sampled + 2 * 100).reshape(-1, 2, 3)
+        assert (pairs[:, 0] != pairs[:, 1]).any(axis=1).all()
 
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError):

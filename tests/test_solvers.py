@@ -827,6 +827,32 @@ class TestIsta:
         with pytest.raises(ValueError, match="measurement length 3 does not match 2 rows"):
             ista_objective(np.eye(2), np.ones(3), 0.1, np.zeros(2))
 
+    @pytest.mark.parametrize("lam, step", [(0.1, 1e-320), (0.0, 1e-320), (1e10, 1e-300)])
+    def test_step_bound_whose_quotients_overflow_rejected(self, lam, step):
+        # 1/L or lambda/L is inf: every step would be nan.
+        message = rf"^step bound L must be a positive finite number with finite 1/L and lambda/L, got {step!r}$"
+        with pytest.raises(ValueError, match=message):
+            ista_run(np.eye(2), np.ones(2), lam, step, 2)
+        with pytest.raises(ValueError, match=message):
+            lista_from_ista(np.eye(2), lam, step, 2)
+
+    def test_first_non_finite_step_named(self):
+        # x <- eta_100(1000 - 999 x) grows about 999-fold a step until it overflows.
+        a, y, lam, step = np.eye(1), np.ones(1), 0.1, 1e-3
+        x, last = np.zeros(1), 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.isfinite(x).all():
+                x, last = _soft_threshold(x - (x - y) / step, lam / step), last + 1
+        assert last > 90
+        with pytest.raises(ValueError, match=rf"^ISTA step {last} leaves the float range$"):
+            ista_run(a, y, lam, step, last + 10)
+        with pytest.raises(ValueError, match=rf"^LISTA step {last} leaves the float range$"):
+            lista_eval(lista_from_ista(a, lam, step, last + 10), y)
+        # One step earlier every iterate is huge but finite, and kept.
+        trajectory = ista_run(a, y, lam, step, last - 1)
+        assert np.isfinite(trajectory).all() and abs(trajectory[-1, 0]) > 1e300
+        assert np.isfinite(lista_eval(lista_from_ista(a, lam, step, last - 1), y)).all()
+
 
 class TestLista:
     def test_reproduces_ista_trajectory(self, rng):
@@ -988,6 +1014,15 @@ class TestRobustnessScan:
         with pytest.raises(ValueError, match="^the measurement Ax overflows$"):
             robustness_scan(never, 2.0 * np.eye(2), [1e308, 0.0], [0.1], 3, seed=1)
 
+    def test_overflowing_reconstruction_named(self):
+        # Ax and every y + e are finite and keep e; f(Ax) itself is not, which
+        # no noise level causes.
+        with pytest.raises(ValueError, match=r"^the reconstruction f\(Ax\) overflows$"):
+            robustness_scan(lambda y: 1e10 * y, np.eye(2), [1e300, 0.0], [1e290], 2, seed=1)
+        rows = robustness_scan(lambda y: 1e3 * y, np.eye(2), [1e300, 0.0], [1e290], 2, seed=1)
+        # e keeps about six digits in y + e at this ratio of norms.
+        np.testing.assert_allclose([ratio for _, _, ratio in rows], 1e3, rtol=1e-5)
+
     def test_underflowing_squares_keep_the_gain(self):
         # Near y = 0 a level of 1e-170 moves y, though the squares of e underflow.
         rows = robustness_scan(lambda y: 3.0 * y, np.eye(2), np.zeros(2), [1e-170], 3, seed=1)
@@ -999,11 +1034,12 @@ class TestRobustnessScan:
         rows = robustness_scan(lambda y: 1e-10 * y, np.eye(2), np.ones(2), [1e160], 3, seed=1)
         np.testing.assert_allclose([ratio for _, _, ratio in rows], 1e-10, rtol=1e-15)
 
-    @pytest.mark.parametrize("trials", [4, 63, 64, 130])
-    def test_every_block_holds_its_own_y(self, trials):
+    @pytest.mark.parametrize("trials", [1, 4, 62, 63, 64, 127, 130])
+    def test_block_size_never_reaches_the_gain(self, trials):
         # A map whose rounding depends on the size of the block it is called on:
-        # each block's perturbations are compared with that block's f(y), so a
-        # gain below its rounding is not scaled up, whatever the last block holds.
+        # every block has PROBE_CHUNK rows, so f(y) and every f(y + e) round
+        # alike and a gain below that rounding is not scaled up, whatever the
+        # number of trials.
         def chunk_dependent(y):
             return y + 1e-16 * len(y)
 
@@ -1034,8 +1070,8 @@ class TestRobustnessScan:
             return evaluate(net, y)
 
         rows = robustness_scan(recording, a, x, levels, 70, seed=4)
-        # Each block of the one map_rows pass starts with its own copy of y.
-        assert sizes == [PROBE_CHUNK, PROBE_CHUNK, 3 + 140 - 2 * PROBE_CHUNK]
+        # One map_rows pass over y and the 140 y + e, in full blocks.
+        assert sizes == [PROBE_CHUNK] * 3
         # One draw and one evaluate call per trial, from the same generator.
         gen = np.random.default_rng(4)
         y = a @ x
