@@ -427,10 +427,12 @@ def _cmd_ista(args):
     step_bound = _step_bound(args, a)
     trajectory = solvers.ista_run(a, args.y, args.lam, step_bound, args.iters)
     header = ("step", "objective") + tuple(f"z{i}" for i in range(trajectory.shape[1]))
-    rows = [
-        (k, solvers.ista_objective(a, args.y, args.lam, trajectory[k])) + tuple(trajectory[k])
-        for k in range(trajectory.shape[0])
-    ]
+    rows = []
+    for k, z in enumerate(trajectory):
+        objective = solvers.ista_objective(a, args.y, args.lam, z)
+        if not np.isfinite(objective):
+            raise ValueError(f"ISTA objective at step {k} leaves the float range")
+        rows.append((k, objective) + tuple(z))
     _print_or_write(args, _config(args, step_bound=step_bound), header, rows)
 
 

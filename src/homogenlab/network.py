@@ -221,8 +221,8 @@ def check_positive_homogeneity(
 
     ``f`` is called on batches: it maps an (N, dim) array to N output rows,
     as an (N, p) array or, for scalar outputs, an (N,) array. Networks
-    qualify. Any other output shape raises ``ValueError``. Points go through
-    ``map_rows``, once unscaled and once per scale.
+    qualify. Any other output shape raises ``ValueError``. One ``map_rows``
+    call maps the points and their scaled copies, ``[x; lam_1 x; ...; lam_S x]``.
 
     The defect is normalized by ``lam * (1 + ||x||_2)`` so it stays defined at
     the origin and is comparable across scales. The worst (point, scale) is
@@ -233,12 +233,11 @@ def check_positive_homogeneity(
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(probe.seed)
     points = rng.standard_normal((probe.num_points, dim))
-    base = map_rows(f, points)
+    lams = np.array(probe.scales)[:, None, None]
+    images = map_rows(f, np.concatenate([points[None], lams * points]).reshape(-1, dim))
+    images = images.reshape(len(probe.scales) + 1, probe.num_points, -1)
     nx = np.linalg.norm(points, axis=1)
-    defects = np.empty((probe.num_points, len(probe.scales)))
-    for j, lam in enumerate(probe.scales):
-        gap = map_rows(f, lam * points) - lam * base
-        defects[:, j] = np.linalg.norm(gap, axis=1) / (lam * (1.0 + nx))
+    defects = (np.linalg.norm(images[1:] - lams * images[0], axis=2) / (lams[:, 0] * (1.0 + nx))).T
     defects[~np.isfinite(defects)] = np.inf
     i, j = np.unravel_index(np.argmax(defects), defects.shape)
     return HomogeneityReport(

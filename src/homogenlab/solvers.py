@@ -37,7 +37,7 @@ lasso matrix of full column rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,12 +71,15 @@ VARIANTS = tuple(PARAMETERS)
 @dataclass(frozen=True)
 class ProblemSpec:
     """One of the four recovery programs, min f(z) + g(K z - c), with its one
-    parameter (``PARAMETERS``)."""
+    parameter (``PARAMETERS``). ``k`` and ``c`` are derived, read-only: A and
+    y, or A^T A and A^T y for dantzig."""
 
     variant: str
     a: np.ndarray
     y: np.ndarray
     parameter: float
+    k: np.ndarray = field(init=False, repr=False)
+    c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a, y = map(read_only_copy, check_measurement(self.a, self.y))
@@ -90,6 +93,10 @@ class ProblemSpec:
                 raise ValueError(f"{name} is too {size}: its sum of squares {fault}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        k, c = (a.T @ a, a.T @ y) if self.variant == "dantzig" else (a, y)
+        for name, v in (("k", k), ("c", c)):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
         t = float(self.parameter)
         object.__setattr__(self, "parameter", t)
         if not (0 < t < math.inf or t == 0 and self.variant != "bpdn"):
@@ -178,15 +185,6 @@ def _project_linf_ball(u: np.ndarray, center: np.ndarray, radius: float) -> np.n
     return center + (u - center).clip(-radius, radius)
 
 
-def _data_term(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(K, c) of the data term g(K z - c): (A, y), or (A^T A, A^T y) for
-    dantzig."""
-    a, y = problem.a, problem.y
-    if problem.variant == "dantzig":
-        return a.T @ a, a.T @ y
-    return a, y
-
-
 def objective_value(problem: ProblemSpec, z: np.ndarray) -> float:
     resid = problem.a @ z - problem.y
     if problem.variant == "lasso":
@@ -200,8 +198,7 @@ def objective_value(problem: ProblemSpec, z: np.ndarray) -> float:
 def _variant_operators(problem: ProblemSpec):
     """(K, prox of f, prox of the conjugate g*) of the program, on the arrays
     ``ProblemSpec`` validated."""
-    k, c = _data_term(problem)
-    t = problem.parameter
+    c, t = problem.c, problem.parameter
     if problem.variant == "lasso":
 
         def prox_primal(z, step):
@@ -225,7 +222,7 @@ def _variant_operators(problem: ProblemSpec):
         def prox_dual(u, s):
             return u - s * project(u / s, c, t)
 
-    return k, prox_primal, prox_dual
+    return problem.k, prox_primal, prox_dual
 
 
 # Restart constants of PDLP (Applegate et al. 2021), applied to the reflected
@@ -362,7 +359,7 @@ def _polish(problem: ProblemSpec, z: np.ndarray, u: np.ndarray):
     try:
         if problem.variant == "dantzig":
             active = np.sort(np.argsort(-np.abs(u), kind="stable")[: support.size])
-            k, c = _data_term(problem)
+            k, c = problem.k, problem.c
             dual = np.zeros_like(u)
             polished[support] = np.linalg.solve(k[np.ix_(active, support)], c[active] + t * np.sign(u[active]))
             dual[active] = np.linalg.solve(k[np.ix_(support, active)], -sign)
@@ -463,7 +460,7 @@ def verify_optimality(problem: ProblemSpec, solution, dual, tol: float) -> list[
     z = as_vector(solution, "solution")
     u = as_vector(dual, "dual")
     variant, t = problem.variant, problem.parameter
-    k, c = _data_term(problem)
+    k, c = problem.k, problem.c
     resid = problem.a @ z - problem.y
     violations = []
     if variant in _CONSTRAINTS:
@@ -574,9 +571,12 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int) -> np.ndarray:
 
 
 def ista_objective(a, y, lam: float, z) -> float:
+    """lam ||z||_1 + (1/2) ||A z - y||_2^2, inf or nan where it leaves the
+    float range."""
     a, y = check_measurement(a, y)
-    resid = a @ as_vector(z) - y
-    return lam * float(np.abs(z).sum()) + 0.5 * float(resid @ resid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = a @ as_vector(z) - y
+        return lam * float(np.abs(z).sum()) + 0.5 * float(resid @ resid)
 
 
 @dataclass(frozen=True)
@@ -605,10 +605,15 @@ class Lista:
 
 def lista_from_ista(a, lam: float, step_bound: float, depth: int) -> Lista:
     """Unroll ``depth`` shrinkage iterations with the matrices the plain
-    iteration induces: W1 = I - (1/L) A^T A, W2 = (1/L) A^T."""
+    iteration induces: W1 = I - (1/L) A^T A, W2 = (1/L) A^T. A non-finite W1
+    is refused; W2 is then finite, as |a_ij| / L <= max(1 / L, a_j^T a_j / L)."""
     a = as_matrix(a, "measurement matrix")
     _check_shrinkage(lam, step_bound)
-    return Lista(np.eye(a.shape[1]) - (a.T @ a) / step_bound, a.T / step_bound, lam / step_bound, depth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1 = np.eye(a.shape[1]) - (a.T @ a) / step_bound
+    if not np.isfinite(w1).all():
+        raise ValueError(f"W1 = I - A^T A / L leaves the float range at step bound L = {float(step_bound)!r}")
+    return Lista(w1, a.T / step_bound, lam / step_bound, depth)
 
 
 def lista_eval(net: Lista, y) -> np.ndarray:

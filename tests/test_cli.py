@@ -274,6 +274,12 @@ REJECTED_ARGUMENTS = [
     # Ax and y + e are finite and keep e, but f(Ax) is not finite.
     ("robustness --net {tmp}/converted.json --in {tmp}/wide.csv --x 1e308,0,0,0,0,0,0,0,0,0,0,0 --levels 1e298 "
      "--seed 1 --out {tmp}/out.csv", "the reconstruction f(Ax) overflows"),
+    # 1/L and lambda/L are finite, but A^T A / L is not; or every iterate is
+    # finite, but the objective of a huge one is not.
+    ("lista --in {tmp}/a.csv --y 1,0,0 --lam 0.1 --depth 5 --step-bound 1e-307 --out {tmp}/out.csv",
+     "W1 = I - A^T A / L leaves the float range at step bound L = 1e-307"),
+    ("ista --in {tmp}/a.csv --y 1,0,0 --lam 0.1 --iters 67 --step-bound 1e-3 --out {tmp}/out.csv",
+     "ISTA objective at step 34 leaves the float range"),
 ]
 
 

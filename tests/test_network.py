@@ -262,10 +262,10 @@ class TestHomogeneityProbe:
         points = np.random.default_rng(2).standard_normal((150, 3))
         scales = (0.5, 2.0)
         check_positive_homogeneity(recording, 3, ProbeConfig(seed=2, num_points=150, scales=scales))
-        # One map_rows call of three blocks per scale, the unscaled points first.
-        assert len(blocks) == 9
-        for k, lam in enumerate((1.0,) + scales):
-            assert np.array_equal(mapped_rows(blocks[3 * k : 3 * k + 3], 150), lam * points)
+        # One map_rows call on [points; 0.5 points; 2 points]: ceil(450 / 64) blocks.
+        assert len(blocks) == 8
+        rows = mapped_rows(blocks, 450)
+        assert np.array_equal(rows, np.concatenate([lam * points for lam in (1.0,) + scales]))
 
         # Conditioning maps its counted pairs only: distinct sampled pairs,
         # then every ambient pair.

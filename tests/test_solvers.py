@@ -126,6 +126,18 @@ class TestProblemSpec:
         assert np.array_equal(problem.a, a_before) and np.array_equal(problem.y, y_before)
         assert not problem.a.flags.writeable and not problem.y.flags.writeable
 
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    def test_data_term_is_derived_and_read_only(self, rng, variant):
+        a, y = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        problem = ProblemSpec(variant, a, y, 2.0)
+        assert not problem.k.flags.writeable and not problem.c.flags.writeable
+        if variant == "dantzig":
+            assert np.array_equal(problem.k, a.T @ a) and np.array_equal(problem.c, a.T @ y)
+        else:
+            assert problem.k is problem.a and problem.c is problem.y
+        with pytest.raises(TypeError):
+            ProblemSpec(variant, a, y, 2.0, k=a)
+
 
 class TestSolveClosedForms:
     def test_qcbp_shrinks_to_ball_boundary(self):
@@ -852,6 +864,15 @@ class TestIsta:
         trajectory = ista_run(a, y, lam, step, last - 1)
         assert np.isfinite(trajectory).all() and abs(trajectory[-1, 0]) > 1e300
         assert np.isfinite(lista_eval(lista_from_ista(a, lam, step, last - 1), y)).all()
+        # The objective of such an iterate overflows, without a warning.
+        assert ista_objective(a, y, lam, trajectory[-1]) == math.inf
+
+    def test_lista_w1_outside_the_float_range_rejected(self):
+        # 1/L, lambda/L and W2 = 10 I / L are finite, but A^T A / L = 1e309 I is not.
+        message = r"^W1 = I - A\^T A / L leaves the float range at step bound L = 1e-307$"
+        with pytest.raises(ValueError, match=message):
+            lista_from_ista(10.0 * np.eye(2), 0.1, 1e-307, 5)
+        assert np.isfinite(lista_from_ista(10.0 * np.eye(2), 0.1, 1e-306, 5).w1).all()
 
 
 class TestLista:
