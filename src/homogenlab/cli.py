@@ -426,13 +426,12 @@ def _cmd_ista(args):
     a = read_matrix_csv(args.infile)
     step_bound = _step_bound(args, a)
     trajectory = solvers.ista_run(a, args.y, args.lam, step_bound, args.iters)
+    objectives = solvers.ista_objective(a, args.y, args.lam, trajectory)
+    lost = np.flatnonzero(~np.isfinite(objectives))
+    if lost.size:
+        raise ValueError(f"ISTA objective at step {lost[0]} leaves the float range")
     header = ("step", "objective") + tuple(f"z{i}" for i in range(trajectory.shape[1]))
-    rows = []
-    for k, z in enumerate(trajectory):
-        objective = solvers.ista_objective(a, args.y, args.lam, z)
-        if not np.isfinite(objective):
-            raise ValueError(f"ISTA objective at step {k} leaves the float range")
-        rows.append((k, objective) + tuple(z))
+    rows = [(k, float(objective)) + tuple(z) for k, (objective, z) in enumerate(zip(objectives, trajectory))]
     _print_or_write(args, _config(args, step_bound=step_bound), header, rows)
 
 

@@ -7,7 +7,8 @@ network g into a bias-free two-hidden-layer relu network computing
 construction. g's output bias becomes one more lifted unit, the ||x||_1 row,
 and every lifted unit joins output j's block only where its weight there is
 nonzero. The pipeline samples an inverse map on the l1 sphere of the
-measurement space, densifies it with a Lipschitz inf-extension, fits a
+measurement space, densifies it with the midpoint of the upper (McShane)
+and lower (Whitney) Lipschitz extensions, trains on that target a
 one-hidden-layer net per output coordinate, moves each fit's output layer
 as little as possible so that it meets the sampled (anchor) values exactly,
 and lifts the result.
@@ -194,6 +195,16 @@ def mcshane_extend(points, values, lipschitz: float) -> Callable:
         return out
 
     return extended
+
+
+def _midpoint_extension(points, values, lipschitz: float) -> Callable:
+    """Midpoint (f_U + f_L) / 2 of McShane's upper extension f_U and Whitney's
+    lower one f_L(x) = max_i (v_i)_j - L ||x - u_i||_2 = -f_U(x) for the
+    values -v: the central interpolant of optimal recovery (Micchelli &
+    Rivlin 1977), L-Lipschitz per coordinate, odd when the samples are."""
+    upper = mcshane_extend(points, values, lipschitz)
+    lower = mcshane_extend(points, np.negative(values), lipschitz)
+    return lambda x: 0.5 * (upper(x) - lower(x))
 
 
 def minimal_consistent_lipschitz(points, values) -> float:
@@ -523,16 +534,16 @@ def build_inverse_recovery_net(
     approximately inverting x -> A x on the (N, n) signal rows x_i.
 
     Pipeline: measure y_i = A x_i; form sphere pairs
-    (y_i / ||y_i||_1, x_i / ||y_i||_1); densify with the Lipschitz
-    inf-extension at extra l1-sphere points, whose Lipschitz constant is the
-    smallest one consistent with the data plus 5% headroom; fit one
-    hidden layer per output coordinate; move each fit's output row and bias
-    by the least change, measured on the training rows, that meets the
-    distinct sphere pairs (the anchors) exactly, or in least squares when
-    no output row can; put the n fits side by side in one net (stacked
-    hidden layers, block-diagonal output weights) and lift it. The lift
-    keeps g on the l1 sphere, so the net is exact at every multiple of an
-    anchor.
+    (y_i / ||y_i||_1, x_i / ||y_i||_1); densify at extra l1-sphere points
+    with the midpoint (f_U + f_L) / 2 of the McShane and Whitney extensions,
+    whose Lipschitz constant is the smallest one consistent with the data
+    plus 5% headroom; fit one hidden layer per output coordinate to these
+    rows; move each fit's output row and bias by the least change, measured
+    on the training rows, that meets the distinct sphere pairs (the anchors)
+    exactly, or in least squares when no output row can; put the n fits
+    side by side in one net (stacked hidden layers, block-diagonal output
+    weights) and lift it. The lift keeps g on the l1 sphere, so the net is
+    exact at every multiple of an anchor.
 
     Pass a list as ``curves`` to collect (coordinate, restart, step, mse)
     training-curve rows, one per step, in coordinate order.
@@ -559,7 +570,7 @@ def build_inverse_recovery_net(
     # sampled with two values reaches the extension's consistency check.
     anchor_dirs, anchor_vals, _ = _merge_repeated_rows(dirs, vals)
     lipschitz_bound = 1.05 * max(minimal_consistent_lipschitz(anchor_dirs, anchor_vals), 1e-12)
-    extension = mcshane_extend(anchor_dirs, anchor_vals, lipschitz_bound)
+    extension = _midpoint_extension(anchor_dirs, anchor_vals, lipschitz_bound)
 
     extra = sample_l1_sphere(np.random.default_rng([fit.seed, 202]), m, densify_points)
     train_dirs = np.vstack([dirs, extra])

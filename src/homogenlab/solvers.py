@@ -196,7 +196,7 @@ def objective_value(problem: ProblemSpec, z: np.ndarray) -> float:
 
 
 def _variant_operators(problem: ProblemSpec):
-    """(K, prox of f, prox of the conjugate g*) of the program, on the arrays
+    """(prox of f, prox of the conjugate g*) of the program, on the arrays
     ``ProblemSpec`` validated."""
     c, t = problem.c, problem.parameter
     if problem.variant == "lasso":
@@ -222,7 +222,7 @@ def _variant_operators(problem: ProblemSpec):
         def prox_dual(u, s):
             return u - s * project(u / s, c, t)
 
-    return problem.k, prox_primal, prox_dual
+    return prox_primal, prox_dual
 
 
 # Restart constants of PDLP (Applegate et al. 2021), applied to the reflected
@@ -253,7 +253,8 @@ def _pdhg(problem: ProblemSpec, config: SolveConfig):
     the stopping test, its T is returned and counts as an iteration.
     Otherwise the restart goes ahead unchanged.
     """
-    k, prox_primal, prox_dual = _variant_operators(problem)
+    k = problem.k
+    prox_primal, prox_dual = _variant_operators(problem)
     step = 0.95 / max(spectral_norm(k), 1e-30)
     tol, max_iters, sqrt = config.tol, config.max_iters, math.sqrt
     p_tol = tol * min(1.0, problem.parameter) if problem.variant == "bpdn" else tol
@@ -570,13 +571,19 @@ def ista_run(a, y, lam: float, step_bound: float, iters: int) -> np.ndarray:
     return trajectory
 
 
-def ista_objective(a, y, lam: float, z) -> float:
+def ista_objective(a, y, lam: float, z):
     """lam ||z||_1 + (1/2) ||A z - y||_2^2, inf or nan where it leaves the
-    float range."""
+    float range. A 2-D z, such as an ``ista_run`` trajectory, gives an array
+    with one objective per row."""
     a, y = check_measurement(a, y)
+    z = np.asarray(z, dtype=np.float64)
+    rows = as_vector(z)[None] if z.ndim < 2 else as_matrix(z, "iterates")
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = a @ as_vector(z) - y
-        return lam * float(np.abs(z).sum()) + 0.5 * float(resid @ resid)
+        # Row k of the stacked (1, n) @ (n, m) and (1, m) @ (m, 1) products is
+        # a @ z_k and r_k @ r_k, bit for bit (as in numerics.row_norms).
+        resid = (rows[:, None, :] @ a.T)[:, 0] - y
+        objective = lam * np.abs(rows).sum(axis=1) + 0.5 * (resid[:, None, :] @ resid[:, :, None]).ravel()
+    return float(objective[0]) if z.ndim < 2 else objective
 
 
 @dataclass(frozen=True)

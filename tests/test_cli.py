@@ -636,6 +636,21 @@ class TestRecoveryDefaults:
         assert probe.max_defect <= 1e-12
 
 
+def test_recovery_quality_at_the_defaults(tmp_path):
+    # The nets train on the midpoint of the McShane and Whitney extensions
+    # (0.234 / 0.0438 here). On the McShane extension alone the means were
+    # 0.599 / 0.158, so training on the upper extension again fails here.
+    out = tmp_path / "rec.csv"
+    argv = "recovery-experiment --n 6 --m 4 --s 1 --seed 31 --out".split()
+    assert run(argv + [str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    approx = [float(cells[5]) for cells in rows if cells[0] == "approx"]
+    noisy = [float(cells[5]) for cells in rows if cells[0] == "noisy"]
+    assert approx and noisy
+    assert np.mean(approx) <= 0.30
+    assert np.mean(noisy) <= 0.06
+
+
 def test_more_anchors_than_output_weights(tmp_path, capsys):
     # 72 anchors against 8 output weights and a bias: the anchors are met in
     # least squares. Solving with the singular F_a M^-1 F_a^T instead of its

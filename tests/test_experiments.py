@@ -246,10 +246,13 @@ class TestBatchedRowsMatchPerPoint:
         assert [r[:5] for r in rows] == [w[:5] for w in want]
         gaps = np.linalg.norm(np.vstack(batched) - want_recons, axis=1)
         assert np.all(gaps <= 1e-12 * np.linalg.norm(want_recons, axis=1))
-        # At s = 1 the exact rows are the anchors, met to rounding: their
-        # errors are compared through net(y) above.
-        kept = [k for k, r in enumerate(rows) if not (s == 1 and r[0] == "exact")]
-        np.testing.assert_allclose([rows[k][5] for k in kept], [want[k][5] for k in kept], rtol=1e-12, atol=0)
+        # An error is ||net(y) - x||, so by the triangle inequality two
+        # errors differ by at most the gap of their reconstructions, plus
+        # the rounding of the two norms. A relative bound would not hold for
+        # a small error of near-equal vectors, such as a noisy row at 1e-3
+        # or an exact row met to rounding.
+        got, ref = np.array([r[5] for r in rows]), np.array([w[5] for w in want])
+        assert np.all(np.abs(got - ref) <= gaps + 2 * np.finfo(float).eps * ref)
 
     def test_max_signed_basis_error(self, rng):
         for m, n in ((2, 4), (4, 6), (3, 9)):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homogenlab import homogenize
 from homogenlab.experiments import gaussian_matrix, sparse_signal_sampler
@@ -287,6 +289,47 @@ class TestMcshaneExtension:
             if gap == 0:
                 continue
             assert np.max(np.abs(f(x) - f(y))) <= lip * gap * (1 + 1e-9)
+
+
+class TestMidpointExtension:
+    """The target ``build_inverse_recovery_net`` trains on: the midpoint of
+    McShane's upper and Whitney's lower Lipschitz extension."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 999),
+        anchors=st.integers(1, 8),
+        dim=st.integers(1, 4),
+        outputs=st.integers(1, 3),
+        headroom=st.floats(1.05, 4.0),
+    )
+    def test_central_lipschitz_interpolant(self, seed, anchors, dim, outputs, headroom):
+        rng = np.random.default_rng([seed, 34])
+        pts = rng.standard_normal((anchors, dim))
+        vals = rng.standard_normal((anchors, outputs))
+        lip = headroom * max(minimal_consistent_lipschitz(pts, vals), 1e-12)
+        mid = homogenize._midpoint_extension(pts, vals, lip)
+        upper = mcshane_extend(pts, vals, lip)
+        lower = mcshane_extend(pts, -vals, lip)
+        assert np.max(np.abs(mid(pts) - vals)) <= 1e-12
+        queries = np.vstack([pts, 2.0 * rng.standard_normal((200, dim))])
+        got = mid(queries)
+        assert np.all((-lower(queries) <= got) & (got <= upper(queries)))
+        x, y = queries[anchors:][:100], queries[anchors:][100:]
+        gaps = np.linalg.norm(x - y, axis=1)
+        # 1e-12 covers the rounding of the terms v + L d, which reach about 100.
+        assert np.all(np.abs(mid(x) - mid(y)) <= lip * gaps[:, None] * (1 + 1e-9) + 1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 999), anchors=st.integers(1, 6), dim=st.integers(1, 4))
+    def test_odd_on_sign_symmetric_anchors(self, seed, anchors, dim):
+        rng = np.random.default_rng([seed, 43])
+        half_pts = rng.standard_normal((anchors, dim))
+        half_vals = rng.standard_normal((anchors, 2))
+        pts, vals = np.vstack([half_pts, -half_pts]), np.vstack([half_vals, -half_vals])
+        mid = homogenize._midpoint_extension(pts, vals, 1.05 * minimal_consistent_lipschitz(pts, vals))
+        queries = rng.standard_normal((100, dim))
+        assert np.array_equal(mid(-queries), -mid(queries))
 
 
 def reference_fit(u, t, config, unbiased):

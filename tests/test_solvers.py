@@ -496,7 +496,8 @@ def pdhg_reference(problem, config):
     products, both residuals every step, attribute lookups in the loop),
     kept verbatim apart from the module prefixes. Run it under
     ``reference_kernels`` so that it also projects as it did then."""
-    k, prox_primal, prox_dual = solvers._variant_operators(problem)
+    k = problem.k
+    prox_primal, prox_dual = solvers._variant_operators(problem)
     step = 0.95 / max(spectral_norm(k), 1e-30)
     p_tol = config.tol * min(1.0, problem.parameter) if problem.variant == "bpdn" else config.tol
     kt = k.T
@@ -821,6 +822,19 @@ class TestIsta:
             traj = ista_run(a, y, lam, step, 200)
             objs = [ista_objective(a, y, lam, z) for z in traj]
             assert all(o2 <= o1 + 1e-12 for o1, o2 in zip(objs, objs[1:]))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (6, 12), (20, 300)])
+    def test_trajectory_objectives_match_the_formula_bitwise(self, m, n):
+        rng = np.random.default_rng([m, n])
+        a, y, lam = rng.standard_normal((m, n)), rng.standard_normal(m), 0.1
+        traj = ista_run(a, y, lam, spectral_norm(a) ** 2, 40)
+        want = []
+        for z in traj:
+            resid = a @ z - y
+            want.append(lam * float(np.abs(z).sum()) + 0.5 * float(resid @ resid))
+        got = ista_objective(a, y, lam, traj)
+        assert got.shape == (41,) and np.array_equal(got, want)
+        assert all(ista_objective(a, y, lam, z) == w for z, w in zip(traj, want))
 
     def test_invalid_step_bound_rejected(self):
         with pytest.raises(ValueError):
