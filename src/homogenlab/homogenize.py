@@ -20,7 +20,9 @@ their restarts train side by side in one stack while they are small enough
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -133,6 +135,8 @@ def radial_extend_l2(f_on_sphere: Callable) -> Callable:
 
     def extended(x):
         x = as_vector(x, "point")
+        if not x.size:
+            raise ValueError("point needs at least one coordinate")
         r = float(np.linalg.norm(x))
         if r == 0.0:
             probe = np.zeros(x.size)
@@ -416,14 +420,15 @@ def fit_regressions(
     target) rows, as ``fit_regression`` would one by one, and return one
     (net, mse) per config, or None where every restart diverged.
 
-    The configs may differ only in ``width`` and ``seed``. Every
-    (config, restart) pair is a member of a stack that trains side by side
-    (``_fit_stack``); members join a stack while merged rows x the sum of
-    their widths stays within ``STACK_BUDGET``. Restarts come back in order,
-    and each config keeps the best finite one by (mse, restart index) until
-    one meets the target; restarts after that one are dropped, or not run
-    when they fall in a later stack. Pass one list per config as ``curves``
-    to collect its (restart, step, mse) rows.
+    The configs may differ only in ``width`` and ``seed``. Their (config,
+    restart) members queue in that order, and each stack (``_fit_stack``)
+    trains side by side the members at the queue's front while merged rows
+    x the sum of their widths stays within ``STACK_BUDGET``, at least one.
+
+    The restart rule: the first restart that meets the target wins, and
+    later restarts add no curve rows (queued ones never run); otherwise the
+    best finite restart by (mse, restart index) wins. Pass one list per
+    config as ``curves`` to collect its (restart, step, mse) rows.
     """
     u = as_rows(inputs, "inputs")
     t = as_rows(targets, "targets")
@@ -440,20 +445,11 @@ def fit_regressions(
     u, t, weight = _merge_repeated_rows(u, t)
 
     best, decided = [None] * len(configs), set()
-    pending = [(c, r) for c in range(len(configs)) for r in range(configs[c].restarts)][::-1]
-    while pending:
-        chunk, load = [], 0
-        while pending:
-            c, r = pending[-1]
-            if c in decided:  # an earlier restart met the target
-                pending.pop()
-                continue
-            load += u.shape[0] * configs[c].width
-            if chunk and load > STACK_BUDGET:
-                break
-            chunk.append(pending.pop())
-        if not chunk:
-            break
+    queue = [(c, r) for c in range(len(configs)) for r in range(configs[c].restarts)]
+    while queue:
+        loads = itertools.accumulate(u.shape[0] * configs[c].width for c, _ in queue)
+        cut = max(1, bisect.bisect_right(list(loads), STACK_BUDGET))
+        chunk, queue = queue[:cut], queue[cut:]
         members = [(configs[c].width, configs[c].seed, r) for c, r in chunk]
         # A diverging restart overflows; the stop rule handles its non-finite mse.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -467,6 +463,7 @@ def fit_regressions(
                 best[c] = (mse, params)
             if mse <= configs[c].target_mse:
                 decided.add(c)
+        queue = [(c, r) for c, r in queue if c not in decided]
 
     results = []
     for fit in best:
@@ -484,8 +481,8 @@ def fit_regression(
     """Fit a one-hidden-layer relu network to (input, target) rows by seeded
     full-batch gradient descent or Adam (``config.optimizer``) with restarts.
 
-    Returns the best restart by (mse, restart index), where mse is that of
-    the returned weights; deterministic given the config seed.
+    Returns the restart that ``fit_regressions``' restart rule picks, with
+    the mse of the returned weights; deterministic given the config seed.
     ``unbiased=True`` pins all biases to zero so the fitted net is scale
     invariant. Pass a list as ``curve`` to collect (restart, step, mse)
     training-curve rows, one per step.

@@ -89,6 +89,8 @@ class LayerSpec:
 
     def __post_init__(self):
         w = read_only_copy(as_matrix(self.weights, "weights"))
+        if not w.size:
+            raise ValueError(f"weights need at least one row and one column, got shape {w.shape}")
         object.__setattr__(self, "weights", w)
         if self.bias is not None:
             b = as_vector(self.bias, "bias")
@@ -228,16 +230,24 @@ def check_positive_homogeneity(
     the origin and is comparable across scales. The worst (point, scale) is
     the first maximum in point-major order. A non-finite defect (an output
     that overflows or is NaN) counts as infinite, so the probe fails there.
+    A scale at which a scaled point overflows raises ``ValueError`` before
+    ``f`` is called.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(probe.seed)
     points = rng.standard_normal((probe.num_points, dim))
     lams = np.array(probe.scales)[:, None, None]
-    images = map_rows(f, np.concatenate([points[None], lams * points]).reshape(-1, dim))
+    with np.errstate(over="ignore"):
+        scaled = lams * points
+    finite = np.isfinite(scaled).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"scale {probe.scales[finite.argmin()]:g} is too large: a scaled probe point overflows")
+    images = map_rows(f, np.concatenate([points[None], scaled]).reshape(-1, dim))
     images = images.reshape(len(probe.scales) + 1, probe.num_points, -1)
     nx = np.linalg.norm(points, axis=1)
-    defects = (np.linalg.norm(images[1:] - lams * images[0], axis=2) / (lams[:, 0] * (1.0 + nx))).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = (np.linalg.norm(images[1:] - lams * images[0], axis=2) / (lams[:, 0] * (1.0 + nx))).T
     defects[~np.isfinite(defects)] = np.inf
     i, j = np.unravel_index(np.argmax(defects), defects.shape)
     return HomogeneityReport(

@@ -95,6 +95,7 @@ REJECTED_NUMBERS = [
      "--noise", "0.1,inf"],
     ["probe-homogeneity", "--in", "{net}", "--seed", "1", "--out", "{out}", "--tolerance", "nan"],
     ["probe-homogeneity", "--in", "{net}", "--seed", "1", "--out", "{out}", "--scales", "1,inf"],
+    ["probe-homogeneity", "--in", "{net}", "--seed", "1", "--out", "{out}", "--scales", "1e308"],
     ["robustness", "--net", "{net}", "--in", "{a}", "--x", "1,0,0", "--seed", "1", "--out", "{out}",
      "--levels", "0.1,nan"],
     ["robustness", "--net", "{net}", "--in", "{a}", "--levels", "0.1", "--seed", "1", "--out", "{out}",

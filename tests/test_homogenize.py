@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ def biased_one_layer(rng, m, k, p=1):
 
 
 class TestHomogenizeOneLayer:
+    # README promises the lift leaves no layer empty; an empty layer of g is
+    # refused by its spec, so the lift never indexes into one.
+    def test_g_with_an_empty_output_layer_never_reaches_the_lift(self):
+        with pytest.raises(ValueError, match=r"at least one row and one column, got shape \(0, 3\)"):
+            homogenize_one_layer(
+                NetworkSpec(
+                    (LayerSpec(np.ones((3, 2)), np.ones(3)), LayerSpec(np.ones((0, 3)), np.ones(0))),
+                    ActivationSpec.relu(),
+                    unbiased=False,
+                )
+            )
+
     def test_constant_net_becomes_l1_norm(self):
         c = 2.5
         g = NetworkSpec(
@@ -186,6 +199,11 @@ class TestRadialExtension:
     def test_zero_maps_to_zero(self):
         f = radial_extend_l2(lambda u: np.array([1.0, 2.0]))
         assert np.array_equal(f(np.zeros(3)), np.zeros(2))
+
+    def test_zero_length_point_rejected(self):
+        f = radial_extend_l2(lambda u: np.array([1.0]))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            f(np.zeros(0))
 
     def test_exact_scale_invariance(self, rng):
         f = radial_extend_l2(lambda u: np.array([np.abs(u).max(), u[0] - u[1]]))
@@ -699,6 +717,58 @@ class TestStackedFits:
             weights, ref_mse, ref_curve = reference_fit(u, t, cfg, False)
             assert_fit_equal(fitted, (weights, ref_mse))
             assert np.array_equal(np.array(curve), np.array(ref_curve))
+
+    # The scheduler's contract: each config comes out as its solo fit and as
+    # the sequential reference, bit for bit; a stack of several members stays
+    # within STACK_BUDGET; members run in queue order; and a member runs unless
+    # its config met the target in an earlier stack. 40 rows x width 409 is
+    # within the budget and x 410 past it. At target 0 no restart meets it;
+    # at 1e9 every restart 0 does.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 999),
+        widths=st.lists(st.sampled_from([1, 5, 200, 409, 410, 600]), min_size=1, max_size=4),
+        restarts=st.integers(1, 3),
+        target=st.sampled_from([0.0, 1e9]),
+    )
+    def test_queue_pass_keeps_budget_order_decisions_and_bits(self, seed, widths, restarts, target):
+        u, t = self.data(np.random.default_rng([seed, 37]), 1)
+        configs = [
+            FitConfig(width=w, learning_rate=0.3, steps=20, restarts=restarts, seed=c, target_mse=target)
+            for c, w in enumerate(widths)
+        ]
+        stacks, fit_stack = [], homogenize._fit_stack
+
+        def recording_stack(*args):
+            outcomes = fit_stack(*args)
+            # Each config's seed is its index: members are (config, restart, mse).
+            stacks.append([(c, r, mse) for (_, c, r), (mse, _, _) in zip(args[5], outcomes)])
+            return outcomes
+
+        curves = [[] for _ in configs]
+        with mock.patch.object(homogenize, "_fit_stack", recording_stack):
+            fits = fit_regressions(u, t, configs, curves=curves)
+
+        for cfg, fitted, curve in zip(configs, fits, curves):
+            solo_curve = []
+            net, mse = fit_regression(u, t, cfg, curve=solo_curve)
+            hidden, out = net.layers
+            assert_fit_equal(fitted, ((hidden.weights, hidden.bias, out.weights, out.bias), mse))
+            assert curve == solo_curve
+            weights, ref_mse, ref_curve = reference_fit(u, t, cfg, False)
+            assert_fit_equal(fitted, (weights, ref_mse))
+            assert np.array_equal(np.array(curve), np.array(ref_curve))
+        for stack in stacks:
+            load = len(u) * sum(configs[c].width for c, _, _ in stack)
+            assert len(stack) == 1 or load <= homogenize.STACK_BUDGET
+        ran = [(c, r) for stack in stacks for c, r, _ in stack]
+        queue = [(c, r) for c in range(len(configs)) for r in range(restarts)]
+        assert all(a < b for a, b in zip(ran, ran[1:])) and set(ran) <= set(queue)
+        decided = set()
+        for stack in stacks:
+            assert not decided & {c for c, _, _ in stack}
+            decided |= {c for c, _, mse in stack if mse <= target}
+        assert {c for c, _ in set(queue) - set(ran)} <= decided
 
     @pytest.mark.parametrize(
         "change",

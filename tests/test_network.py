@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,11 @@ class TestLayerSpec:
         big[:] = b[:] = np.nan
         assert np.array_equal(layer.weights, w_before) and np.array_equal(layer.bias, b_before)
         assert not layer.weights.flags.writeable and not layer.bias.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_weights_without_rows_or_columns_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"at least one row and one column, got shape {shape}")):
+            LayerSpec(np.ones(shape))
 
 
 class TestEvaluate:
@@ -224,6 +231,26 @@ class TestHomogeneityProbe:
         net = unbiased_relu_net([np.full((3, 2), 1e200), np.full((1, 3), 1e200)])
         with np.errstate(over="ignore", invalid="ignore"):
             report = check_positive_homogeneity(net, 2, ProbeConfig(seed=1))
+        assert report.max_defect == np.inf
+        assert not report.passed
+
+    def test_overflowing_scale_refused_before_the_map_runs(self):
+        def must_not_run(x):
+            raise AssertionError("mapped an overflowing probe")
+
+        probe = ProbeConfig(seed=1, scales=(2.0, 1e308, 1.5e308))
+        with pytest.raises(ValueError, match=r"^scale 1e\+308 is too large: a scaled probe point overflows$"):
+            check_positive_homogeneity(must_not_run, 2, probe)
+
+    def test_overflowing_defect_fails_without_a_warning(self):
+        # At scale 1e-308 the output bias leaves a defect of about 1 / 1e-308:
+        # the division overflows. The suite turns RuntimeWarnings into errors.
+        net = NetworkSpec(
+            (LayerSpec(np.array([[1.0, 0.0]]), np.array([0.5])), LayerSpec(np.array([[2.0]]), np.array([1.0]))),
+            ActivationSpec.relu(),
+            unbiased=False,
+        )
+        report = check_positive_homogeneity(net, 2, ProbeConfig(seed=1, scales=(1e-308,)))
         assert report.max_defect == np.inf
         assert not report.passed
 
